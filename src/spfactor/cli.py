@@ -201,15 +201,14 @@ def load_config(path) -> RunConfig:
 
 
 def _atomic_write(path, writer) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    os.close(fd)
-    try:
+    """Run `writer(tmp)` on a fresh path beside `path`, then rename it into
+    place.  The writer creates the file itself, so every artifact gets the
+    mode that a plain open() gives."""
+    d = os.path.dirname(os.path.abspath(path))
+    with tempfile.TemporaryDirectory(dir=d, prefix=".tmp-") as tmpdir:
+        tmp = os.path.join(tmpdir, os.path.basename(path))
         writer(tmp)
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _write_manifest(outdir, cfg: RunConfig, subcommand: str) -> None:
@@ -269,25 +268,29 @@ def _model_spec(cfg: RunConfig, data: ObservationSet) -> ModelSpec:
     )
 
 
+def _check_chain_lengths(cfg: RunConfig) -> None:
+    if not (cfg["n_iter"] > cfg["burn_in"] >= 0 and cfg["thin"] >= 1):
+        raise ValidationError("need n_iter > burn_in >= 0 and thin >= 1")
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
 def _write_report_pair(outdir, stem, entries) -> None:
-    txt = os.path.join(outdir, stem + ".txt")
-    jsn = os.path.join(outdir, stem + ".json")
-    holder = {}
-
     def write(tmp):
         write_report(tmp, tmp + ".j", entries)
-        holder["json_tmp"] = tmp + ".j"
+        os.replace(tmp + ".j", os.path.join(outdir, stem + ".json"))
 
-    _atomic_write(txt, write)
-    os.replace(holder["json_tmp"], jsn)
+    _atomic_write(os.path.join(outdir, stem + ".txt"), write)
 
 
 def _cmd_fit(cfg: RunConfig, outdir: str) -> None:
+    _check_chain_lengths(cfg)
     data = _load_dataset(cfg)
-    spec = _model_spec(cfg, data)
+    try:
+        spec = _model_spec(cfg, data)
+    except ValueError as exc:  # ModelSpec rejecting a config value
+        raise ValidationError(str(exc)) from exc
     init = None
     if cfg.values["resume_from"]:
         from .sampler import load_checkpoint
@@ -297,9 +300,9 @@ def _cmd_fit(cfg: RunConfig, outdir: str) -> None:
                                     cfg["thin"], cfg["seed"], chains=cfg["chains"],
                                     threads=cfg["threads"], init=init,
                                     return_final=True)
+    entries = dict(waic_parts(draws.loglik))
     _atomic_write(os.path.join(outdir, "draws.bin"), lambda p: save_draws(p, draws))
     _atomic_write(os.path.join(outdir, "draws.csv"), lambda p: write_draws_csv(p, draws))
-    entries = dict(waic_parts(draws.loglik))
     for name, rate in draws.acceptance.items():
         entries[f"acceptance.{name}"] = rate
     _write_report_pair(outdir, "fit_report", entries)
@@ -472,6 +475,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: str) -> None:
 
 
 def _cmd_experiment(cfg: RunConfig, outdir: str) -> None:
+    _check_chain_lengths(cfg)
     models = [m.strip() for m in cfg["models"].split(",") if m.strip()]
     sim1_cfg = Sim1Config(k_true=cfg["k_true"], spatial=cfg["spatial_dep"],
                           T=cfg["sim_T"], n_future=cfg["n_future"],

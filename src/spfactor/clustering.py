@@ -60,7 +60,8 @@ def select_kstar(g_all: list[np.ndarray], lo: float = 0.2, hi: float = 0.8) -> i
 
 def build_w(draws: PosteriorDraws, kstar: int, order=None) -> np.ndarray:
     """Posterior-mean stick weights of the first kstar factors, concatenated
-    per cell: (n_cells, sum_j Lmax_j).
+    per cell: (n_cells, sum_j Lmax_j).  Each block is the column's stored
+    weight sum divided by the number of draws.
 
     `order` (0-based factor indices) rearranges the columns first; the
     default keeps the model's own column order.
@@ -68,7 +69,7 @@ def build_w(draws: PosteriorDraws, kstar: int, order=None) -> np.ndarray:
     if kstar < 1:
         return np.zeros((draws.n_cells, 0))
     order = range(kstar) if order is None else list(order)[:kstar]
-    blocks = [draws.weights[j].mean(axis=0) for j in order]  # (N, Lmax_j)
+    blocks = [draws.weight_sum[j] / draws.n_draws for j in order]  # (N, Lmax_j)
     return np.concatenate(blocks, axis=1)
 
 

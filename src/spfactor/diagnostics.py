@@ -18,17 +18,14 @@ def waic(loglik: np.ndarray) -> float:
     Smaller is better; the pointwise lppd uses log-sum-exp stabilization and
     p_waic is the sample variance of the log density over draws.
     """
-    ll = np.asarray(loglik, dtype=float)
-    if ll.ndim != 2 or ll.shape[1] < 2:
-        raise DegenerateDraws("WAIC needs at least two retained draws")
-    S = ll.shape[1]
-    lppd = float(np.sum(logsumexp(ll, axis=1) - np.log(S)))
-    p_waic = float(np.sum(np.var(ll, axis=1, ddof=1)))
-    return -2.0 * (lppd - p_waic)
+    return waic_parts(loglik)["waic"]
 
 
 def waic_parts(loglik: np.ndarray) -> dict:
+    """WAIC with its two terms: lppd, p_waic and waic (see `waic`)."""
     ll = np.asarray(loglik, dtype=float)
+    if ll.ndim != 2 or ll.shape[1] < 2:
+        raise DegenerateDraws("WAIC needs at least two retained draws")
     S = ll.shape[1]
     lppd = float(np.sum(logsumexp(ll, axis=1) - np.log(S)))
     p_waic = float(np.sum(np.var(ll, axis=1, ddof=1)))

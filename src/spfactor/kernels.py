@@ -95,17 +95,6 @@ def spatial_correlation(spec: SpatialKernelSpec, structure: SpatialStructure) ->
     return _check_spd(F, NonPositiveDefinite, "exponential spatial correlation")
 
 
-def spatial_precision(spec: SpatialKernelSpec, structure: SpatialStructure) -> np.ndarray:
-    """F(rho)^-1 without forming F first where the precision is the natural object."""
-    if spec.kind == "car":
-        if structure.kind != "areal":
-            raise KindMismatch("car kernel needs areal structure")
-        prec = np.diag(structure.neighbour_counts) - spec.rho * structure.adjacency
-        return _check_spd(prec, SingularPrecision, "CAR precision D_w - rho*W")
-    F = spatial_correlation(spec, structure)
-    return np.linalg.inv(F)
-
-
 def temporal_correlation(spec: TemporalKernelSpec, times: np.ndarray) -> np.ndarray:
     """Build the T x T temporal correlation matrix H(psi)."""
     times = np.asarray(times, dtype=float)

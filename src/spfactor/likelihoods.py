@@ -34,15 +34,6 @@ class LikelihoodSpec:
         return "identity" if self.family == "gaussian" else "logit"
 
 
-@dataclass
-class PgAugmentation:
-    """omega, chi = y - n/2, and the working response ystar = chi / omega."""
-
-    omega: np.ndarray
-    chi: np.ndarray
-    ystar: np.ndarray
-
-
 def linear_predictor(beta: np.ndarray, loadings: np.ndarray, eta_t: np.ndarray,
                      X_t: np.ndarray) -> np.ndarray:
     """theta_t = X_t beta + Lambda eta_t over the stacked cells."""

@@ -837,7 +837,8 @@ class GibbsSampler:
 
 
 class _DrawBuffer:
-    """Accumulates retained states into the padded PosteriorDraws arrays."""
+    """Accumulates retained states into PosteriorDraws arrays, and each
+    column's stick weights into a running sum over draws."""
 
     def __init__(self, sampler: GibbsSampler, n_keep: int):
         self.sampler = sampler
@@ -854,7 +855,7 @@ class _DrawBuffer:
         self.rho = np.zeros(n_keep)
         self.psi = np.zeros(n_keep)
         self.xi = np.zeros((n_keep, k, N), dtype=int)
-        self.weights: list[list[np.ndarray]] = [[] for _ in range(k)] \
+        self.weight_sum = [np.zeros((N, 0)) for _ in range(k)] \
             if spec.uses_sticks else []
 
     def add(self, state: ChainState, it: int, s: int) -> None:
@@ -873,23 +874,16 @@ class _DrawBuffer:
         if spec.uses_sticks:
             self.xi[s] = state.stick.xi
             for j in range(spec.k):
-                w = stick_weights_matrix(state.stick.alpha[j], closing=True)
-                if not state.stick.slice_mode:
-                    pass
-                self.weights[j].append(w.T.copy())  # (N, L_draw)
+                w = stick_weights_matrix(state.stick.alpha[j], closing=True).T
+                grow = w.shape[1] - self.weight_sum[j].shape[1]
+                if grow > 0:
+                    self.weight_sum[j] = np.pad(self.weight_sum[j], ((0, 0), (0, grow)))
+                self.weight_sum[j][:, :w.shape[1]] += w
 
     def finish(self, chain_id, loglik, obs_index, acceptance) -> PosteriorDraws:
         sampler = self.sampler
         spec = sampler.spec
         n_keep = self.rho.size
-        padded = []
-        if spec.uses_sticks:
-            for j in range(spec.k):
-                lmax = max(w.shape[1] for w in self.weights[j])
-                arr = np.zeros((n_keep, sampler.N, lmax))
-                for s, w in enumerate(self.weights[j]):
-                    arr[s, :, :w.shape[1]] = w
-                padded.append(arr)
         return PosteriorDraws(
             family=spec.likelihood.family, loadings_prior=spec.loadings_prior,
             temporal_kernel=spec.temporal_kernel, times=sampler.times,
@@ -898,7 +892,8 @@ class _DrawBuffer:
             chain=np.full(n_keep, chain_id, dtype=int),
             beta=self.beta, eta=self.eta, lam=self.lam, sigma2=self.sigma2,
             kappa=self.kappa, upsilon=self.upsilon, delta=self.delta,
-            rho=self.rho, psi=self.psi, xi=self.xi, weights=padded,
+            rho=self.rho, psi=self.psi, xi=self.xi,
+            weight_sum=self.weight_sum,
             loglik=loglik, obs_index=obs_index, acceptance=acceptance,
             last_trials=None if sampler.trials is None else sampler.trials[-1].copy())
 

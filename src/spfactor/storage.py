@@ -17,16 +17,17 @@ import numpy as np
 from .data import format_float
 
 _MAGIC = b"SPFACTOR\x00"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass
 class PosteriorDraws:
     """Retained post-burn-in states in column-addressable arrays.
 
-    Ragged stick structures are padded per column: ``weights[j]`` is
-    (S, n_cells, Lmax_j) with each draw's closing rule applied at its own
-    truncation, so every (draw, cell) weight row sums to one.
+    Stick weights are kept only as their sum over draws, the one form that
+    clustering reads: ``weight_sum[j]`` is (n_cells, Lmax_j), each draw's
+    closing-rule weights added in at its own truncation and zero beyond it,
+    so every cell row sums to ``n_draws``.
     """
 
     family: str
@@ -49,7 +50,7 @@ class PosteriorDraws:
     rho: np.ndarray                # (S,)
     psi: np.ndarray                # (S,)
     xi: np.ndarray                 # (S, k, n_cells) int; zeros for non-PSBP
-    weights: list[np.ndarray]      # k arrays (S, n_cells, Lmax_j); empty for non-PSBP
+    weight_sum: list[np.ndarray]   # k arrays (n_cells, Lmax_j); empty for non-PSBP
     loglik: np.ndarray             # (n_obs_cells, S)
     obs_index: np.ndarray          # (n_obs_cells, 2) 0-based (t, cell)
     acceptance: dict = field(default_factory=dict)
@@ -67,36 +68,18 @@ class PosteriorDraws:
     def has_sticks(self) -> bool:
         return self.loadings_prior.startswith("psbp")
 
-    def subset(self, idx) -> "PosteriorDraws":
-        idx = np.asarray(idx)
-        return PosteriorDraws(
-            family=self.family, loadings_prior=self.loadings_prior,
-            temporal_kernel=self.temporal_kernel, times=self.times,
-            m=self.m, O=self.O, k=self.k, p=self.p,
-            iteration=self.iteration[idx], chain=self.chain[idx],
-            beta=self.beta[idx], eta=self.eta[idx], lam=self.lam[idx],
-            sigma2=self.sigma2[idx], kappa=self.kappa[idx],
-            upsilon=self.upsilon[idx], delta=self.delta[idx],
-            rho=self.rho[idx], psi=self.psi[idx], xi=self.xi[idx],
-            weights=[w[idx] for w in self.weights],
-            loglik=np.asarray(self.loglik)[:, idx], obs_index=self.obs_index,
-            acceptance=dict(self.acceptance), last_trials=self.last_trials,
-        )
-
 
 def merge_draws(parts: list[PosteriorDraws]) -> PosteriorDraws:
-    """Concatenate chains; associative, ordered by the given list."""
+    """Concatenate chains and add their stick-weight sums; associative,
+    ordered by the given list."""
     head = parts[0]
     if len(parts) == 1:
         return head
-    lmax = [max(p.weights[j].shape[2] for p in parts) for j in range(head.k)] \
-        if head.has_sticks else []
 
-    def pad(w, L):
-        if w.shape[2] == L:
-            return w
-        out = np.zeros((w.shape[0], w.shape[1], L))
-        out[:, :, :w.shape[2]] = w
+    def add_padded(sums):
+        out = np.zeros((head.n_cells, max(w.shape[1] for w in sums)))
+        for w in sums:
+            out[:, :w.shape[1]] += w
         return out
 
     acc = {}
@@ -120,8 +103,7 @@ def merge_draws(parts: list[PosteriorDraws]) -> PosteriorDraws:
         rho=np.concatenate([p.rho for p in parts]),
         psi=np.concatenate([p.psi for p in parts]),
         xi=np.concatenate([p.xi for p in parts]),
-        weights=[np.concatenate([pad(p.weights[j], lmax[j]) for p in parts])
-                 for j in range(head.k)] if head.has_sticks else [],
+        weight_sum=[add_padded(sums) for sums in zip(*(p.weight_sum for p in parts))],
         loglik=np.concatenate([np.asarray(p.loglik) for p in parts], axis=1),
         obs_index=head.obs_index,
         acceptance=acc,
@@ -179,7 +161,6 @@ def save_draws(path, draws: PosteriorDraws) -> None:
         "temporal_kernel": draws.temporal_kernel,
         "m": draws.m, "O": draws.O, "k": draws.k, "p": draws.p,
         "acceptance": {key: float(v) for key, v in draws.acceptance.items()},
-        "n_weight_cols": [w.shape[2] for w in draws.weights],
     }
     arrays = {
         "times": draws.times, "iteration": draws.iteration, "chain": draws.chain,
@@ -191,8 +172,8 @@ def save_draws(path, draws: PosteriorDraws) -> None:
         "last_trials": (draws.last_trials if draws.last_trials is not None
                         else np.zeros(0)),
     }
-    for j, w in enumerate(draws.weights):
-        arrays[f"weights_{j}"] = w
+    for j, w in enumerate(draws.weight_sum):
+        arrays[f"weight_sum_{j}"] = w
     with open(path, "wb") as fh:
         _write_blob(fh, meta, arrays)
 
@@ -202,7 +183,8 @@ def load_draws(path) -> PosteriorDraws:
         meta, arrays = _read_blob(fh)
     if meta.get("kind") != "posterior_draws":
         raise ValueError("container does not hold posterior draws")
-    weights = [arrays[f"weights_{j}"] for j in range(len(meta["n_weight_cols"]))]
+    weight_sum = [arrays[f"weight_sum_{j}"] for j in range(meta["k"])
+                  if f"weight_sum_{j}" in arrays]
     last_trials = arrays.get("last_trials")
     if last_trials is not None and last_trials.size == 0:
         last_trials = None
@@ -214,7 +196,7 @@ def load_draws(path) -> PosteriorDraws:
         eta=arrays["eta"], lam=arrays["lam"], sigma2=arrays["sigma2"],
         kappa=arrays["kappa"], upsilon=arrays["upsilon"], delta=arrays["delta"],
         rho=arrays["rho"], psi=arrays["psi"], xi=arrays["xi"],
-        weights=weights, loglik=arrays["loglik"], obs_index=arrays["obs_index"],
+        weight_sum=weight_sum, loglik=arrays["loglik"], obs_index=arrays["obs_index"],
         acceptance=dict(meta["acceptance"]), last_trials=last_trials,
     )
 
@@ -235,8 +217,9 @@ def load_state_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
 def write_draws_csv(path, draws: PosteriorDraws) -> None:
     """One row per retained draw, one named column per scalar parameter.
 
-    Ragged stick columns (theta is not stored; weights are) are padded with
-    empty fields beyond a draw's active truncation.
+    PSBP fits add each draw's allocations ``xi[j,cell]``.  Stick weights
+    have no per-draw columns: only their sum over draws is kept, in
+    ``draws.bin``.
     """
     S = draws.n_draws
     T = draws.times.size
@@ -253,9 +236,6 @@ def write_draws_csv(path, draws: PosteriorDraws) -> None:
     header += ["rho", "psi"]
     if draws.has_sticks:
         header += [f"xi[{j + 1},{c + 1}]" for j in range(draws.k) for c in range(N)]
-        for j, w in enumerate(draws.weights):
-            header += [f"w[{j + 1},{l + 1},{c + 1}]"
-                       for l in range(w.shape[2]) for c in range(N)]
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(header)
@@ -272,6 +252,4 @@ def write_draws_csv(path, draws: PosteriorDraws) -> None:
             row += [format_float(draws.rho[s]), format_float(draws.psi[s])]
             if draws.has_sticks:
                 row += [str(int(v)) for v in draws.xi[s].reshape(-1)]
-                for w in draws.weights:
-                    row += [format_float(v) for v in w[s].T.reshape(-1)]
             out.writerow(row)

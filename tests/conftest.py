@@ -47,7 +47,11 @@ def make_draws(*, xi=None, weights=None, lam=None, eta=None, sigma2=None,
                psi=None, times=None, family="gaussian",
                loadings_prior="psbp-spatial", temporal_kernel="ar1",
                m=None, O=1, p=0, loglik=None) -> PosteriorDraws:
-    """Fabricate a PosteriorDraws object for unit tests."""
+    """Fabricate a PosteriorDraws object for unit tests.
+
+    `weights` takes per-draw stick weights, k arrays (S, n_cells, L_j); they
+    are stored as their sum over draws, as the sampler stores them.
+    """
     if xi is not None:
         xi = np.asarray(xi, dtype=int)
         S, k, N = xi.shape
@@ -66,7 +70,8 @@ def make_draws(*, xi=None, weights=None, lam=None, eta=None, sigma2=None,
         eta = np.zeros((S, T, k))
     lam = np.zeros((S, N, k)) if lam is None else np.asarray(lam, float)
     xi = np.zeros((S, k, N), dtype=int) if xi is None else xi
-    weights = [] if weights is None else [np.asarray(w, float) for w in weights]
+    weight_sum = [] if weights is None else \
+        [np.asarray(w, float).sum(axis=0) for w in weights]
     return PosteriorDraws(
         family=family, loadings_prior=loadings_prior,
         temporal_kernel=temporal_kernel, times=times, m=m, O=O, k=k, p=p,
@@ -80,7 +85,7 @@ def make_draws(*, xi=None, weights=None, lam=None, eta=None, sigma2=None,
         delta=np.ones((S, k)) if delta is None else np.asarray(delta, float),
         rho=np.zeros(S) if rho is None else np.asarray(rho, float),
         psi=np.full(S, 0.5) if psi is None else np.asarray(psi, float),
-        xi=xi, weights=weights,
+        xi=xi, weight_sum=weight_sum,
         loglik=np.zeros((0, S)) if loglik is None else np.asarray(loglik, float),
         obs_index=np.zeros((0, 2), dtype=int))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -182,3 +183,40 @@ def test_checkpoint_roundtrip_via_cli(tmp_path):
         f"times = {tmp_path}/sim/times.csv\nk = 1\nn_iter = 10\nburn_in = 0\n"
         f"seed = 10\nresume_from = {tmp_path}/state.bin\n")
     assert main(["fit", "--config", str(fit2), "--output", str(tmp_path / "f2")]) == 0
+
+
+@pytest.fixture(scope="module")
+def sim_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sim")
+    cfg = root / "sim.cfg"
+    cfg.write_text("design = sim1\nk_true = 1\nsim_T = 4\nseed = 3\n")
+    assert main(["simulate", "--config", str(cfg), "--output", str(root / "data")]) == 0
+    return root / "data"
+
+
+def _fit(tmp_path, sim_dir, extra):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"data = {sim_dir}/data.csv\nspatial = {sim_dir}/spatial.csv\n"
+                   f"times = {sim_dir}/times.csv\nk = 1\nseed = 9\n" + extra)
+    return main(["fit", "--config", str(cfg), "--output", str(tmp_path / "fit")])
+
+
+@pytest.mark.parametrize("extra, error", [
+    ("loadings_prior = nope\n", "ValidationError"),
+    ("n_iter = 20\nburn_in = 20\n", "ValidationError"),
+    ("n_iter = 20\nburn_in = 19\n", "DegenerateDraws"),  # one kept draw: no WAIC
+], ids=["unknown-prior", "no-kept-draws", "one-kept-draw"])
+def test_fit_usage_errors_exit_2(tmp_path, sim_dir, capsys, extra, error):
+    assert _fit(tmp_path, sim_dir, extra) == 2
+    assert f"error: {error}:" in capsys.readouterr().err
+    assert not (tmp_path / "fit" / "draws.bin").exists()
+
+
+def test_fit_artifacts_share_plain_open_mode(tmp_path, sim_dir):
+    assert _fit(tmp_path, sim_dir, "n_iter = 20\nburn_in = 5\n") == 0
+    ref = tmp_path / "ref"
+    ref.write_text("")
+    modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in (tmp_path / "fit").iterdir()}
+    assert set(modes) == {"draws.bin", "draws.csv", "fit_report.txt",
+                          "fit_report.json", "manifest.json"}
+    assert set(modes.values()) == {stat.S_IMODE(ref.stat().st_mode)}

@@ -81,12 +81,15 @@ def test_ppd_deterministic():
 
 def test_ppd_invariant_to_draw_order():
     rng = np.random.default_rng(2)
-    draws = make_draws(lam=rng.normal(size=(60, 5, 2)),
-                       eta=rng.normal(size=(60, 4, 2)), times=np.arange(4.0))
+    lam = rng.normal(size=(60, 5, 2))
+    eta = rng.normal(size=(60, 4, 2))
+    draws = make_draws(lam=lam, eta=eta, times=np.arange(4.0))
     req = PPDRequest(new_times=np.array([4.0]), draws=draws)
     v1, _ = ppd_sample(req, seed=3)
     perm = rng.permutation(60)
-    req2 = PPDRequest(new_times=np.array([4.0]), draws=draws.subset(perm))
+    permuted = make_draws(lam=lam[perm], eta=eta[perm], times=np.arange(4.0))
+    permuted.iteration = draws.iteration[perm]  # draws keep their rng keys
+    req2 = PPDRequest(new_times=np.array([4.0]), draws=permuted)
     v2, _ = ppd_sample(req2, seed=3)
     # the multiset of draw-level values per cell is exactly preserved
     assert np.array_equal(np.sort(v1, axis=0), np.sort(v2, axis=0))

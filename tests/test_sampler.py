@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from spfactor.clustering import build_w
 from spfactor.data import ObservationSet
 from spfactor.likelihoods import LikelihoodSpec
+from spfactor.psbp import stick_weights_matrix
 from spfactor.sampler import (
     ChainState,
     GibbsSampler,
@@ -407,10 +409,38 @@ def test_alternate_model_menu_modes(rng):
         assert draws.n_draws == 20
         assert np.all(np.isfinite(draws.lam))
         if lp.startswith("psbp"):
-            assert all(np.allclose(w.sum(axis=2), 1.0, atol=1e-9)
-                       for w in draws.weights)
+            assert all(np.allclose(w.sum(axis=1), draws.n_draws, atol=1e-9)
+                       for w in draws.weight_sum)
         else:
-            assert draws.weights == []
+            assert draws.weight_sum == []
+
+
+def test_weight_sum_is_exact_sum_of_kept_weights():
+    # n_iter < 50 runs no proposal adaptation, so sweeping by hand with the
+    # same seed retraces run()
+    data = gaussian_dataset(T=5)
+    spec = ModelSpec(k=2)
+    n_iter, burn_in, thin, seed = 30, 10, 2, 4
+    draws = GibbsSampler(spec, data).run(n_iter, burn_in, thin, seed)
+    sampler = GibbsSampler(spec, data)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    state = sampler.init_state(rng)
+    kept = [[] for _ in range(spec.k)]
+    for it in range(1, n_iter + 1):
+        sampler.sweep(state, rng)
+        if it > burn_in and (it - burn_in) % thin == 0:
+            for j in range(spec.k):
+                kept[j].append(stick_weights_matrix(state.stick.alpha[j],
+                                                    closing=True).T)
+    assert len({w.shape[1] for ws in kept for w in ws}) > 1  # truncation varies
+    means = []
+    for j, ws in enumerate(kept):
+        padded = np.zeros((len(ws), sampler.N, max(w.shape[1] for w in ws)))
+        for s, w in enumerate(ws):
+            padded[s, :, :w.shape[1]] = w
+        assert np.array_equal(padded.sum(axis=0), draws.weight_sum[j])
+        means.append(padded.mean(axis=0))
+    assert np.array_equal(build_w(draws, spec.k), np.concatenate(means, axis=1))
 
 
 def test_binomial_chain_runs_and_updates_omega(rng):

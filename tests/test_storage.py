@@ -1,7 +1,9 @@
 import csv
 
 import numpy as np
+import pytest
 
+from spfactor import storage
 from spfactor.sampler import ModelSpec, run_chain
 from spfactor.storage import load_draws, merge_draws, save_draws, write_draws_csv
 
@@ -22,7 +24,8 @@ def test_container_round_trip(tmp_path):
     assert np.array_equal(back.eta, draws.eta)
     assert np.array_equal(back.lam, draws.lam)
     assert np.array_equal(back.xi, draws.xi)
-    assert all(np.array_equal(a, b) for a, b in zip(back.weights, draws.weights))
+    assert len(back.weight_sum) == draws.k
+    assert all(np.array_equal(a, b) for a, b in zip(back.weight_sum, draws.weight_sum))
     assert np.array_equal(np.asarray(back.loglik), np.asarray(draws.loglik))
     assert back.family == draws.family
     assert np.array_equal(back.times, draws.times)
@@ -36,15 +39,29 @@ def test_container_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_container_rejects_version_1(tmp_path, monkeypatch):
+    path = tmp_path / "d.bin"
+    monkeypatch.setattr(storage, "_FORMAT_VERSION", 1)
+    save_draws(path, _small_draws())
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="unsupported container version 1"):
+        load_draws(path)
+
+
 def test_merge_concatenates_and_pads():
-    d1 = _small_draws(seed=1)
-    d2 = _small_draws(seed=2)
+    d1 = _small_draws(seed=1, L=None)
+    d2 = _small_draws(seed=2, L=None)
     merged = merge_draws([d1, d2])
     assert merged.n_draws == d1.n_draws + d2.n_draws
     assert merged.eta.shape[0] == merged.n_draws
-    for j, w in enumerate(merged.weights):
-        assert w.shape[2] == max(d1.weights[j].shape[2], d2.weights[j].shape[2])
-        assert np.allclose(w.sum(axis=2), 1.0, atol=1e-9)
+    for j, w in enumerate(merged.weight_sum):
+        w1, w2 = d1.weight_sum[j], d2.weight_sum[j]
+        assert w.shape == (d1.n_cells, max(w1.shape[1], w2.shape[1]))
+        expected = np.zeros(w.shape)
+        expected[:, :w1.shape[1]] += w1
+        expected[:, :w2.shape[1]] += w2
+        assert np.array_equal(w, expected)
+        assert np.allclose(w.sum(axis=1), merged.n_draws, atol=1e-9)
     assert np.asarray(merged.loglik).shape[1] == merged.n_draws
 
 
@@ -59,5 +76,7 @@ def test_draws_csv_has_named_scalars(tmp_path):
     assert "eta[1,1]" in header
     assert "lam[1,1]" in header
     assert "rho" in header and "psi" in header
+    assert "xi[1,1]" in header
+    assert not any(name.startswith("w[") for name in header)
     eta_idx = header.index("eta[1,1]")
     assert float(body[0][eta_idx]) == draws.eta[0, 0, 0]
