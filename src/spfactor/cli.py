@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,11 +203,14 @@ def _atomic_write(path, writer) -> None:
     """Run `writer(tmp)` on a fresh path beside `path`, then rename it into
     place.  The writer creates the file itself, so every artifact gets the
     mode that a plain open() gives."""
-    d = os.path.dirname(os.path.abspath(path))
-    with tempfile.TemporaryDirectory(dir=d, prefix=".tmp-") as tmpdir:
-        tmp = os.path.join(tmpdir, os.path.basename(path))
+    d, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(d, f".tmp-{os.getpid()}-{name}")
+    try:
         writer(tmp)
         os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _write_manifest(outdir, cfg: RunConfig, subcommand: str) -> None:
