@@ -45,6 +45,7 @@ from .sampler import ModelSpec, run_chains, save_checkpoint
 from .simulation import (
     Sim1Config,
     Sim2Config,
+    check_experiment,
     experiment_table,
     generate_sim1,
     generate_sim2,
@@ -273,6 +274,8 @@ def _model_spec(cfg: RunConfig, data: ObservationSet) -> ModelSpec:
 def _check_chain_lengths(cfg: RunConfig) -> None:
     if not (cfg["n_iter"] > cfg["burn_in"] >= 0 and cfg["thin"] >= 1):
         raise ValidationError("need n_iter > burn_in >= 0 and thin >= 1")
+    if cfg["chains"] < 1 or cfg["threads"] < 1:
+        raise ValidationError("chains and threads must be at least 1")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -479,6 +482,10 @@ def _cmd_simulate(cfg: RunConfig, outdir: str) -> None:
 def _cmd_experiment(cfg: RunConfig, outdir: str) -> None:
     _check_chain_lengths(cfg)
     models = [m.strip() for m in cfg["models"].split(",") if m.strip()]
+    try:
+        check_experiment(cfg["design"], models)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     sim1_cfg = Sim1Config(k_true=cfg["k_true"], spatial=cfg["spatial_dep"],
                           T=cfg["sim_T"], n_future=cfg["n_future"],
                           sigma2=cfg["sigma2_true"], L_true=cfg["L_true"])

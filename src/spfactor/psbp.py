@@ -52,20 +52,18 @@ class StickState:
 
     In finite mode column j has L[j] components backed by L[j]-1 stick
     variables and the leftover-mass closing rule.  In slice mode all L[j]
-    components are real sticks and L[j] is the active truncation, regrown
-    each sweep.
+    components are real sticks and L[j] = max(xi[j]); the sticks past it stay
+    at their prior and are regrown inside each sweep.
 
-    alpha[j], z[j]: (n_sticks_j, n_cells); theta[j]: (L_j,);
-    xi: (k, n_cells) int, 1-based component indicators;
-    u: (k, n_cells) slice variables, slice mode only.
+    alpha[j]: (n_sticks_j, n_cells); theta[j]: (L_j,);
+    xi: (k, n_cells) int, 1-based component indicators.  The slice variables
+    and latent probits are drawn afresh inside each column update.
     """
 
     alpha: list[np.ndarray]
-    z: list[np.ndarray]
     theta: list[np.ndarray]
     xi: np.ndarray
     L: np.ndarray
-    u: np.ndarray | None = None
     slice_mode: bool = field(default=False)
 
     @property
@@ -135,27 +133,6 @@ def loadings_from_atoms(state: StickState) -> np.ndarray:
                 f"column {j + 1} has indicators outside 1..{state.theta[j].size}")
         lam[:, j] = state.theta[j][xi - 1]
     return lam
-
-
-def slice_truncation(weights: np.ndarray, u_min: float) -> int:
-    """Smallest per-cell count of sticks whose cumulative weight exceeds 1-u_min,
-    maximized over cells.
-
-    `weights` is (L, n_cells) (or a single stream); the caller is responsible
-    for extending the streams with fresh prior sticks until every cell
-    satisfies the bound.
-    """
-    if not 0 < u_min < 1:
-        raise ValueError("u_min must lie in (0, 1)")
-    w = np.asarray(weights, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    cum = np.cumsum(w, axis=0)
-    hit = cum > 1.0 - u_min
-    if not hit[-1].all():
-        raise ValueError("weight streams too short to satisfy the slice bound")
-    first = hit.argmax(axis=0) + 1
-    return int(first.max())
 
 
 # -- stick moments and process/marginal moment formulas ------------------------

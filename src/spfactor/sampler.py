@@ -1,7 +1,7 @@
 """Gibbs sampler over all model unknowns.
 
 One sweep scans the full conditionals in a fixed order: omega (binomial) ->
-loading columns (u, xi, z, alpha, theta per column) -> eta -> beta -> sigma2
+loading columns (xi, alpha, theta per column) -> eta -> beta -> sigma2
 -> kappa -> Upsilon -> delta -> rho -> psi.  Both likelihood families reduce
 to a Gaussian working response with a per-cell diagonal precision (1/sigma2
 for Gaussian data, the Polya-Gamma draw for binomial), so every conditional
@@ -41,6 +41,7 @@ from .storage import PosteriorDraws
 _LOADINGS_PRIORS = ("psbp-spatial", "psbp-independent", "gaussian-car", "gaussian-iid")
 _SHRINKAGES = ("mgp", "independent-gamma")
 _MAX_STICKS = 256
+_LOGLIK_MEMMAP_CELLS = 10_000_000  # larger loglik matrices go to an unlinked temp file
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,8 @@ class ChainState:
         if self.stick is not None:
             stick = StickState(
                 alpha=[a.copy() for a in self.stick.alpha],
-                z=[z.copy() for z in self.stick.z],
                 theta=[t.copy() for t in self.stick.theta],
                 xi=self.stick.xi.copy(), L=self.stick.L.copy(),
-                u=None if self.stick.u is None else self.stick.u.copy(),
                 slice_mode=self.stick.slice_mode)
         return ChainState(
             beta=self.beta.copy(), eta=self.eta.copy(), lam=self.lam.copy(),
@@ -341,19 +340,15 @@ class GibbsSampler:
         """`count` stick fields from N(0, kappa (x) F(rho)), rows (count, N)."""
         _, _, factor, _ = self.spatial_ops(rho)
         cho_k = np.linalg.cholesky(kappa)
-        out = np.empty((count, self.N))
-        for r in range(count):
-            B = factor @ rng.standard_normal((self.m, self.O)) @ cho_k.T
-            out[r] = B.flatten(order="F")
-        return out
+        B = factor @ rng.standard_normal((count, self.m, self.O)) @ cho_k.T
+        return B.transpose(0, 2, 1).reshape(count, self.N)  # location-fastest rows
 
     def _init_sticks(self, kappa, rho, tau, rng) -> StickState:
         spec = self.spec
         k = spec.k
-        alpha, zs, thetas = [], [], []
+        alpha, thetas = [], []
         xi = np.ones((k, self.N), dtype=int)
         Ls = np.ones(k, dtype=int)
-        u = np.zeros((k, self.N)) if spec.slice_mode else None
         for j in range(k):
             max_sticks = _MAX_STICKS if spec.slice_mode else spec.L - 1
             a_rows = []
@@ -384,17 +379,11 @@ class GibbsSampler:
             n_sticks = L_j if spec.slice_mode else L_j - 1
             a_mat = a_mat[:n_sticks] if a_mat.shape[0] >= n_sticks else np.vstack(
                 [a_mat, self._draw_alpha_prior(kappa, rho, rng, n_sticks - a_mat.shape[0])])
-            theta_j = rng.normal(0.0, 1.0 / math.sqrt(tau[j]), size=L_j)
-            z_j = self._sample_z(a_mat, xi_j, rng)
             alpha.append(a_mat)
-            zs.append(z_j)
-            thetas.append(theta_j)
+            thetas.append(rng.normal(0.0, 1.0 / math.sqrt(tau[j]), size=L_j))
             xi[j] = xi_j
             Ls[j] = L_j
-            if spec.slice_mode:
-                w = stick_weights_matrix(a_mat, closing=False)
-                u[j] = rng.uniform(0.0, w[xi_j - 1, np.arange(self.N)])
-        return StickState(alpha=alpha, z=zs, theta=thetas, xi=xi, L=Ls, u=u,
+        return StickState(alpha=alpha, theta=thetas, xi=xi, L=Ls,
                           slice_mode=spec.slice_mode)
 
     @staticmethod
@@ -477,35 +466,6 @@ class GibbsSampler:
         P = np.kron(kinv, F_prec) + np.eye(self.N)
         return sla.cho_factor(P, lower=True)
 
-    @staticmethod
-    def _swap_pass(alpha_j, theta_j, xi_j, rng):
-        """Adjacent label-swap Metropolis moves over the stick order.
-
-        Swapping the stick fields and atoms of components (l, l+1) while
-        relabeling their cells leaves the prior invariant (rows are
-        exchangeable) and multiplies the weight term by (1 - Phi(alpha_{l+1}))
-        per cell on l and 1/(1 - Phi(alpha_l)) per cell on l+1.  Heavy
-        components drift toward the front, which keeps the active truncation
-        small; the latent probit draws are regenerated afterwards.
-        """
-        n_sticks = alpha_j.shape[0]
-        if n_sticks < 2:
-            return alpha_j, theta_j, xi_j
-        phi = ndtr(alpha_j)
-        with np.errstate(divide="ignore"):
-            log1m = np.log1p(-np.minimum(phi, 1.0 - 1e-16))
-        for l in range(n_sticks - 2, -1, -1):
-            on_l = xi_j == l + 1
-            on_l1 = xi_j == l + 2
-            logr = log1m[l + 1][on_l].sum() - log1m[l][on_l1].sum()
-            if math.log(rng.uniform()) < logr:
-                alpha_j[[l, l + 1]] = alpha_j[[l + 1, l]]
-                log1m[[l, l + 1]] = log1m[[l + 1, l]]
-                theta_j[[l, l + 1]] = theta_j[[l + 1, l]]
-                xi_j[on_l] = l + 2
-                xi_j[on_l1] = l + 1
-        return alpha_j, theta_j, xi_j
-
     def _update_sticks(self, state: ChainState, rng) -> None:
         spec = self.spec
         stick = state.stick
@@ -516,48 +476,34 @@ class GibbsSampler:
         cells = np.arange(self.N)
         for j in range(spec.k):
             A, B = self._column_stats(state, yw, prec, offset, j)
-            alpha_j, theta_j, xi_vec = self._swap_pass(
-                stick.alpha[j], stick.theta[j], stick.xi[j].copy(), rng)
-            stick.xi[j] = xi_vec
+            alpha_j, theta_j = stick.alpha[j], stick.theta[j]
             if spec.slice_mode:
                 w = stick_weights_matrix(alpha_j, closing=False)
                 u = rng.uniform(0.0, w[stick.xi[j] - 1, cells])
-                u_star = float(u.min())
-                # grow stick streams until every cell clears the slice bound
-                cum = np.cumsum(w, axis=0)
-                while cum[-1].min() <= 1.0 - u_star and alpha_j.shape[0] < _MAX_STICKS:
-                    new_a = self._draw_alpha_prior(state.kappa, state.rho, rng)[0]
-                    alpha_j = np.vstack([alpha_j, new_a])
-                    total = cum[-1] if cum.size else np.zeros(self.N)
-                    w_new = ndtr(new_a) * (1.0 - total)
-                    w = np.vstack([w, w_new])
-                    cum = np.vstack([cum, total + w_new])
-                    theta_j = np.append(theta_j, rng.normal(0.0, 1.0 / math.sqrt(tau[j])))
-                hit = cum > 1.0 - u_star
-                hit[-1] = True  # numerical guard at the cap
-                L_star = int((hit.argmax(axis=0) + 1).max())
-                alpha_j = alpha_j[:L_star]
-                w = w[:L_star]
-                theta_j = theta_j[:L_star]
-                allowed = w > u[None, :]
-                n_comp = L_star
-                logw = None
+                # double the stick streams with prior draws until no cell has
+                # unassigned mass above min(u); later sticks cannot be chosen
+                while w.sum(axis=0).min() <= 1.0 - u.min() \
+                        and alpha_j.shape[0] < _MAX_STICKS:
+                    extra = min(alpha_j.shape[0], _MAX_STICKS - alpha_j.shape[0])
+                    alpha_j = np.vstack([alpha_j, self._draw_alpha_prior(
+                        state.kappa, state.rho, rng, extra)])
+                    theta_j = np.append(theta_j, rng.normal(
+                        0.0, 1.0 / math.sqrt(tau[j]), size=extra))
+                    w = stick_weights_matrix(alpha_j, closing=False)
+                logw = np.where(w > u, 0.0, -np.inf)  # uniform over the slice
             else:
-                n_comp = spec.L
-                w_closed = stick_weights_matrix(alpha_j, closing=True)
                 with np.errstate(divide="ignore"):
-                    logw = np.log(w_closed)
-                allowed = None
-                u = None
-                L_star = spec.L
+                    logw = np.log(stick_weights_matrix(alpha_j, closing=True))
 
             # component indicators from likelihood-weighted mixture
-            loglik = np.outer(theta_j[:n_comp], A) - 0.5 * np.outer(theta_j[:n_comp] ** 2, B)
-            logits = loglik if logw is None else loglik + logw
-            if allowed is not None:
-                logits = np.where(allowed, logits, -np.inf)
-            gumbel = -np.log(-np.log(rng.uniform(size=logits.shape)))
-            xi_j = np.argmax(logits + gumbel, axis=0) + 1
+            loglik = np.outer(theta_j, A) - 0.5 * np.outer(theta_j ** 2, B)
+            gumbel = -np.log(-np.log(rng.uniform(size=loglik.shape)))
+            xi_j = np.argmax(loglik + logw + gumbel, axis=0) + 1
+            # slice mode drops the sticks past the last occupied one: they stay
+            # at their prior, so kappa, rho and delta condition on sticks
+            # 1..max(xi) only, and the next sweep regrows the tail from the prior
+            n_comp = int(xi_j.max()) if spec.slice_mode else spec.L
+            alpha_j = alpha_j[:n_comp]
 
             z_j = self._sample_z(alpha_j, xi_j, rng)
             if z_j.shape[0]:
@@ -574,14 +520,10 @@ class GibbsSampler:
             theta_j = post_mean + rng.standard_normal(n_comp) / np.sqrt(post_prec)
 
             stick.alpha[j] = alpha_j
-            stick.z[j] = z_j
             stick.theta[j] = theta_j
             stick.xi[j] = xi_j
-            stick.L[j] = L_star
+            stick.L[j] = n_comp
             state.lam[:, j] = theta_j[xi_j - 1]
-            if spec.slice_mode:
-                w_now = stick_weights_matrix(alpha_j, closing=False)
-                stick.u[j] = rng.uniform(0.0, w_now[xi_j - 1, cells])
 
     def _update_gaussian_loadings(self, state: ChainState, rng) -> None:
         tau = state.mgp.precisions()
@@ -807,11 +749,10 @@ class GibbsSampler:
         obs_index = self.obs_index()
         n_obs = obs_index.shape[0]
         if record_loglik:
-            if n_obs * n_keep > 10_000_000:
-                tmp = tempfile.NamedTemporaryFile(suffix=".ll", dir=loglik_dir,
-                                                  delete=False)
-                loglik = np.memmap(tmp.name, dtype=float, mode="w+",
-                                   shape=(n_obs, n_keep))
+            if n_obs * n_keep > _LOGLIK_MEMMAP_CELLS:
+                with tempfile.TemporaryFile(dir=loglik_dir) as tmp:
+                    loglik = np.memmap(tmp, dtype=float, mode="w+",
+                                       shape=(n_obs, n_keep))
             else:
                 loglik = np.empty((n_obs, n_keep))
         else:
@@ -991,11 +932,8 @@ def save_checkpoint(path, state: ChainState, rng: np.random.Generator | None = N
         meta["k"] = state.stick.k
         arrays["xi"] = state.stick.xi
         arrays["L"] = state.stick.L
-        if state.stick.u is not None:
-            arrays["u"] = state.stick.u
         for j in range(state.stick.k):
             arrays[f"alpha_{j}"] = state.stick.alpha[j]
-            arrays[f"z_{j}"] = state.stick.z[j]
             arrays[f"theta_{j}"] = state.stick.theta[j]
     save_state_blob(path, meta, arrays)
 
@@ -1011,10 +949,8 @@ def load_checkpoint(path) -> tuple[ChainState, dict]:
         k = meta["k"]
         stick = StickState(
             alpha=[arrays[f"alpha_{j}"] for j in range(k)],
-            z=[arrays[f"z_{j}"] for j in range(k)],
             theta=[arrays[f"theta_{j}"] for j in range(k)],
-            xi=arrays["xi"], L=arrays["L"],
-            u=arrays.get("u"), slice_mode=meta["slice_mode"])
+            xi=arrays["xi"], L=arrays["L"], slice_mode=meta["slice_mode"])
     state = ChainState(
         beta=arrays["beta"], eta=arrays["eta"], lam=arrays["lam"], stick=stick,
         mgp=MgpState(arrays["delta"], meta["mgp_a1"], meta["mgp_a2"],
@@ -1026,28 +962,18 @@ def load_checkpoint(path) -> tuple[ChainState, dict]:
 
 
 def assert_stick_consistency(state: ChainState) -> None:
-    """Debug invariant: z signs match xi; slice u sits below its own weight;
-    closing-rule weights sum to one."""
+    """Debug invariant: array shapes match L, xi lies in 1..L, and the
+    weights sum to one (finite mode) or at most one (slice mode)."""
     stick = state.stick
     if stick is None:
         return
-    cells = np.arange(stick.n_cells)
     for j in range(stick.k):
-        w = stick_weights_matrix(stick.alpha[j], closing=not stick.slice_mode)
-        total = w.sum(axis=0)
+        assert stick.alpha[j].shape == (stick.n_sticks(j), stick.n_cells)
+        assert stick.theta[j].shape == (stick.L[j],)
+        assert np.all(stick.xi[j] >= 1) and np.all(stick.xi[j] <= stick.L[j])
+        total = stick_weights_matrix(stick.alpha[j],
+                                     closing=not stick.slice_mode).sum(axis=0)
         if stick.slice_mode:
-            leftover = 1.0 - total
             assert np.all(total <= 1.0 + 1e-12)
-            assert stick.u is not None
-            w_xi = w[stick.xi[j] - 1, cells]
-            assert np.all(stick.u[j] > 0) and np.all(stick.u[j] < w_xi)
         else:
             assert np.max(np.abs(total - 1.0)) <= 1e-12
-        z = stick.z[j]
-        if z.shape[0] == 0:
-            continue
-        lidx = np.arange(1, z.shape[0] + 1)[:, None]
-        below = lidx < stick.xi[j][None, :]
-        at = lidx == stick.xi[j][None, :]
-        assert np.all(z[below] < 0)
-        assert np.all(z[at] > 0)

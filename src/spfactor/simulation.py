@@ -286,6 +286,17 @@ def _fit_metrics_sim2(truth: Sim2Truth, model: str, k: int, n_iter: int,
             "kstar": summary.kstar, "gap_k": summary.gap_k}
 
 
+def check_experiment(design: str, models) -> None:
+    """Reject an unknown design or model, or a model the design cannot score."""
+    if design not in ("sim1", "sim2"):
+        raise ValueError("design must be 'sim1' or 'sim2'")
+    for mdl in models:
+        if mdl not in _MODEL_MENU:
+            raise ValueError(f"unknown model {mdl!r}")
+        if design == "sim2" and mdl in ("M4", "M5"):
+            raise ValueError("only M1-M3 have clustering capability")
+
+
 def run_experiment(design: str, models, replicates: int, seed: int,
                    n_iter: int = 2000, burn_in: int = 1000, thin: int = 1,
                    k_fit: int = 6, sim1_cfg: Sim1Config | None = None,
@@ -293,14 +304,8 @@ def run_experiment(design: str, models, replicates: int, seed: int,
                    progress=None) -> list[dict]:
     """Fit the requested models to `replicates` generated datasets and return
     one result row per (replicate, model)."""
-    if design not in ("sim1", "sim2"):
-        raise ValueError("design must be 'sim1' or 'sim2'")
     models = list(models)
-    for mdl in models:
-        if mdl not in _MODEL_MENU:
-            raise ValueError(f"unknown model {mdl!r}")
-        if design == "sim2" and mdl in ("M4", "M5"):
-            raise ValueError("only M1-M3 have clustering capability")
+    check_experiment(design, models)
     rows = []
     seeds = np.random.SeedSequence(seed).spawn(replicates)
     for rep, ss in enumerate(seeds, start=1):

@@ -170,47 +170,48 @@ def test_criterion_4_conjugate_and_prior_recovery():
     data = ObservationSet(y=np.zeros((T, 1, m)), times=np.linspace(0, 1, T),
                           spatial=sp, covariates=covs, missing_mask=mask)
     lo, hi = 0.5, 3.0
-    spec = ModelSpec(k=1, L=2, rho_prior="uniform", psi_bounds=(lo, hi),
-                     sigma2_a=3.0, sigma2_b=2.0, a1=2.0, a2=3.0,
-                     kappa_df=4.0, kappa_scale=1.0,
-                     upsilon_df=4.0, upsilon_scale=1.0, beta_prior_var=9.0)
-    sampler = GibbsSampler(spec, data)
-    state = sampler.init_state(rng)
-    n_sweeps = 16000
-    rec = {name: np.empty(n_sweeps) for name in
-           ("beta", "sig", "delt", "psi", "rho", "xi1", "eta2", "ups", "kap",
-            "theta2")}
-    for i in range(n_sweeps):
-        sampler.sweep(state, rng)
-        if i < 2000 and i % 50 == 0:
-            sampler.adapt_proposals()
-        rec["beta"][i] = state.beta[0]
-        rec["sig"][i] = state.sigma2.mean()
-        rec["delt"][i] = state.mgp.delta[0]
-        rec["psi"][i] = state.psi
-        rec["rho"][i] = state.rho
-        rec["xi1"][i] = (state.stick.xi[0] == 1).mean()
-        rec["eta2"][i] = (state.eta ** 2).mean()
-        rec["ups"][i] = state.upsilon[0, 0]
-        rec["kap"][i] = state.kappa[0, 0]
-        tau1 = state.mgp.precisions()[0]
-        rec["theta2"][i] = (state.stick.theta[0] ** 2).mean() * tau1
-    rec = {k: v[4000:] for k, v in rec.items()}
-    checks = [
-        ("beta", 0.0),    # N(0, 9)
-        ("sig", 1.0),     # IG(3, 2)
-        ("delt", 2.0),    # Ga(2, 1)
-        ("xi1", 0.5),     # E[Phi(alpha)] by symmetry
-        ("eta2", 0.5),    # E[Upsilon] for IW(4, 1)
-        ("ups", 0.5),
-        ("kap", 0.5),
-        ("theta2", 1.0),  # theta ~ N(0, 1/tau)
-    ]
-    for name, target in checks:
-        err = abs(rec[name].mean() - target)
-        assert err < 3 * batch_se(rec[name]), (name, rec[name].mean(), target)
-    assert kstest(rec["psi"][::20], "uniform", args=(lo, hi - lo)).pvalue > 0.01
-    assert kstest(rec["rho"][::20], "uniform", args=(0.0, 1.0)).pvalue > 0.01
+    for L in (2, None):  # finite truncation, then the slice sampler
+        spec = ModelSpec(k=1, L=L, rho_prior="uniform", psi_bounds=(lo, hi),
+                         sigma2_a=3.0, sigma2_b=2.0, a1=2.0, a2=3.0,
+                         kappa_df=4.0, kappa_scale=1.0,
+                         upsilon_df=4.0, upsilon_scale=1.0, beta_prior_var=9.0)
+        sampler = GibbsSampler(spec, data)
+        state = sampler.init_state(rng)
+        n_sweeps = 16000
+        rec = {name: np.empty(n_sweeps) for name in
+               ("beta", "sig", "delt", "psi", "rho", "xi1", "eta2", "ups", "kap",
+                "theta2")}
+        for i in range(n_sweeps):
+            sampler.sweep(state, rng)
+            if i < 2000 and i % 50 == 0:
+                sampler.adapt_proposals()
+            rec["beta"][i] = state.beta[0]
+            rec["sig"][i] = state.sigma2.mean()
+            rec["delt"][i] = state.mgp.delta[0]
+            rec["psi"][i] = state.psi
+            rec["rho"][i] = state.rho
+            rec["xi1"][i] = (state.stick.xi[0] == 1).mean()
+            rec["eta2"][i] = (state.eta ** 2).mean()
+            rec["ups"][i] = state.upsilon[0, 0]
+            rec["kap"][i] = state.kappa[0, 0]
+            tau1 = state.mgp.precisions()[0]
+            rec["theta2"][i] = (state.stick.theta[0] ** 2).mean() * tau1
+        rec = {k: v[4000:] for k, v in rec.items()}
+        checks = [
+            ("beta", 0.0),    # N(0, 9)
+            ("sig", 1.0),     # IG(3, 2)
+            ("delt", 2.0),    # Ga(2, 1)
+            ("xi1", 0.5),     # E[Phi(alpha)] by symmetry
+            ("eta2", 0.5),    # E[Upsilon] for IW(4, 1)
+            ("ups", 0.5),
+            ("kap", 0.5),
+            ("theta2", 1.0),  # theta ~ N(0, 1/tau)
+        ]
+        for name, target in checks:
+            err = abs(rec[name].mean() - target)
+            assert err < 3 * batch_se(rec[name]), (L, name, rec[name].mean(), target)
+        assert kstest(rec["psi"][::20], "uniform", args=(lo, hi - lo)).pvalue > 0.01
+        assert kstest(rec["rho"][::20], "uniform", args=(0.0, 1.0)).pvalue > 0.01
 
     # binomial pathway: zero-trial cells leave omega degenerate at zero and
     # the regression at its prior

@@ -150,6 +150,15 @@ def test_experiment_subcommand(tmp_path):
     assert "M1" in table and "M5" in table
 
 
+def test_experiment_unknown_model_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("design = sim1\nmodels = M1,M9\nreplicates = 1\nseed = 3\n")
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(cfg), "--output", str(out)]) == 2
+    assert "error: ValidationError: unknown model 'M9'" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_env_override_applies_to_cli(tmp_path, monkeypatch):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("design = sim1\nk_true = 1\nsim_T = 4\nseed = 5\n")
@@ -205,7 +214,8 @@ def _fit(tmp_path, sim_dir, extra):
     ("loadings_prior = nope\n", "ValidationError"),
     ("n_iter = 20\nburn_in = 20\n", "ValidationError"),
     ("n_iter = 20\nburn_in = 19\n", "DegenerateDraws"),  # one kept draw: no WAIC
-], ids=["unknown-prior", "no-kept-draws", "one-kept-draw"])
+    ("chains = 0\n", "ValidationError"),
+], ids=["unknown-prior", "no-kept-draws", "one-kept-draw", "no-chains"])
 def test_fit_usage_errors_exit_2(tmp_path, sim_dir, capsys, extra, error):
     assert _fit(tmp_path, sim_dir, extra) == 2
     assert f"error: {error}:" in capsys.readouterr().err

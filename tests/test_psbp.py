@@ -15,7 +15,6 @@ from spfactor.psbp import (
     mgp_precisions,
     psbp_process_covariance,
     psbp_process_variance,
-    slice_truncation,
     stick_weights,
     stick_weights_matrix,
 )
@@ -61,7 +60,6 @@ def _stick_state(alpha, theta, xi, slice_mode=False):
     k = len(alpha)
     n = xi.shape[1]
     return StickState(alpha=[np.asarray(a, float) for a in alpha],
-                      z=[np.zeros_like(np.asarray(a, float)) for a in alpha],
                       theta=[np.asarray(t, float) for t in theta],
                       xi=np.asarray(xi, int),
                       L=np.array([len(t) for t in theta]),
@@ -91,16 +89,6 @@ def test_loadings_indicator_out_of_range():
                          np.array([[1, 3, 1]]))
     with pytest.raises(IndicatorOutOfRange):
         loadings_from_atoms(state)
-
-
-def test_slice_truncation():
-    w = np.array([0.5, 0.3, 0.2])
-    assert slice_truncation(w, 0.3) == 2
-    assert slice_truncation(w, 0.05) == 3
-    assert slice_truncation(np.array([0.5, 0.5]), 0.6) == 1
-    # column value is the max over cells
-    w2 = np.array([[0.5, 0.1], [0.3, 0.2], [0.2, 0.7]])
-    assert slice_truncation(w2, 0.3) == 3
 
 
 def test_beta_moment_1():

@@ -5,6 +5,7 @@ from scipy.stats import kstest
 from spfactor.clustering import build_w
 from spfactor.data import ObservationSet
 from spfactor.likelihoods import LikelihoodSpec
+from spfactor import sampler as sampler_module
 from spfactor.psbp import stick_weights_matrix
 from spfactor.sampler import (
     ChainState,
@@ -310,6 +311,18 @@ def test_run_chain_bookkeeping():
     assert draws2.n_draws == 3
     assert np.array_equal(draws2.iteration, [6, 8, 10])
     assert draws2.loglik.shape == (data.T * data.n_cells, 3)
+
+
+def test_memmapped_loglik_leaves_no_temp_file(tmp_path, monkeypatch):
+    data = gaussian_dataset()
+    spec = ModelSpec(k=1)
+    in_memory = GibbsSampler(spec, data).run(12, burn_in=2, seed=5)
+    monkeypatch.setattr(sampler_module, "_LOGLIK_MEMMAP_CELLS", 0)
+    mapped = GibbsSampler(spec, data).run(12, burn_in=2, seed=5, loglik_dir=tmp_path)
+    assert isinstance(mapped.loglik, np.memmap)
+    assert list(tmp_path.iterdir()) == []
+    assert np.array_equal(mapped.loglik, in_memory.loglik)
+    assert np.array_equal(mapped.lam, in_memory.lam)
 
 
 def test_micro_model_sigma2_conjugate_posterior(rng):
