@@ -341,15 +341,14 @@ def _cmd_predict(cfg: RunConfig, outdir: str) -> None:
             if probs is not None:
                 header.append("prob")
             out.writerow(header)
-            m = draws.m
+            # rows run draw, then time, then cell; csv writes floats as format_float
+            q, c = np.indices(values.shape[1:]).reshape(2, -1)
+            keys = [new_times[q], c // draws.m + 1, c % draws.m + 1]
             for s in range(values.shape[0]):
-                for q, tv in enumerate(new_times):
-                    for c in range(draws.n_cells):
-                        row = [s + 1, format_float(tv), c // m + 1, c % m + 1,
-                               format_float(values[s, q, c])]
-                        if probs is not None:
-                            row.append(format_float(probs[s, q, c]))
-                        out.writerow(row)
+                cols = [np.full(q.size, s + 1), *keys, values[s].ravel()]
+                if probs is not None:
+                    cols.append(probs[s].ravel())
+                out.writerows(zip(*(col.tolist() for col in cols)))
 
     _atomic_write(os.path.join(outdir, "ppd.csv"), write)
     _write_manifest(outdir, cfg, "predict")

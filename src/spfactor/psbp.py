@@ -110,17 +110,12 @@ def stick_weights_matrix(alpha: np.ndarray, closing: bool = True) -> np.ndarray:
     (slice mode, where the tail stays open).
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    n_sticks, n_cells = alpha.shape
     v = ndtr(alpha)
-    n_rows = n_sticks + 1 if closing else n_sticks
-    w = np.zeros((n_rows, n_cells))
-    remaining = np.ones(n_cells)
-    for l in range(n_sticks):
-        w[l] = v[l] * remaining
-        remaining = remaining - w[l]
+    # mass left before each stick (and after the last): prod_{r<l} (1 - Phi(alpha_r))
+    remaining = np.cumprod(np.vstack([np.ones((1, alpha.shape[1])), 1.0 - v]), axis=0)
     if closing:
-        w[n_sticks] = remaining
-    return w
+        return np.vstack([v * remaining[:-1], remaining[-1:]])
+    return v * remaining[:-1]
 
 
 def loadings_from_atoms(state: StickState) -> np.ndarray:
@@ -168,29 +163,31 @@ def beta_moment_2(mu, cov) -> float:
     return float(val)
 
 
+def _stick_bracket(b1: float, b1p: float, beta2: float, L) -> float:
+    """beta2 * (1 - (1 - b1 - b1' + beta2)^L) / (b1 + b1' - beta2): the
+    shared-atom moment of two cells' weights summed over L components, with
+    b1, b1' the cells' stick means and beta2 their cross moment; L = inf
+    gives the limit."""
+    pair = b1 + b1p
+    denom = pair - beta2
+    if denom <= 0:
+        raise DegenerateDenominator("requires beta1 + beta1' > beta2 cross moment")
+    geo = 1.0 if np.isinf(L) else 1.0 - (1.0 - pair + beta2) ** L
+    return beta2 * geo / denom
+
+
 def psbp_process_variance(G0B: float, beta1: float, beta2: float, L) -> float:
     """Variance of G(B) around its base-measure mean for an L-component column.
 
     G0B*(1-G0B) * beta2 * (1 - (1 - 2*beta1 + beta2)^L) / (2*beta1 - beta2);
     pass L = inf for the limiting value.
     """
-    denom = 2.0 * beta1 - beta2
-    if denom <= 0:
-        raise DegenerateDenominator("requires 2*beta1 > beta2")
-    base = 1.0 - 2.0 * beta1 + beta2
-    geo = 1.0 if np.isinf(L) else 1.0 - base ** L
-    return G0B * (1.0 - G0B) * beta2 * geo / denom
+    return G0B * (1.0 - G0B) * _stick_bracket(beta1, beta1, beta2, L)
 
 
 def psbp_process_covariance(G0B: float, beta1_pair, beta2_cross: float, L) -> float:
     """Covariance of G(B) across two cells sharing atoms but with correlated sticks."""
-    b1, b1p = beta1_pair
-    denom = b1 + b1p - beta2_cross
-    if denom <= 0:
-        raise DegenerateDenominator("requires beta1 + beta1' > beta2 cross moment")
-    base = 1.0 - b1 - b1p + beta2_cross
-    geo = 1.0 if np.isinf(L) else 1.0 - base ** L
-    return G0B * (1.0 - G0B) * beta2_cross * geo / denom
+    return G0B * (1.0 - G0B) * _stick_bracket(*beta1_pair, beta2_cross, L)
 
 
 def marginal_y_covariance(beta1_pair, beta2_cross: float, L, tau: np.ndarray,
@@ -211,16 +208,5 @@ def marginal_y_covariance(beta1_pair, beta2_cross: float, L, tau: np.ndarray,
     scale = float(np.sum(eta2 / tau))
     if same_cell:
         b1 = beta1_pair[0] if np.ndim(beta1_pair) else float(beta1_pair)
-        denom = 2.0 * b1 - beta2_cross
-        if denom <= 0:
-            raise DegenerateDenominator("requires 2*beta1 > beta2")
-        base = 1.0 - 2.0 * b1 + beta2_cross
-        geo = 1.0 if np.isinf(L) else 1.0 - base ** L
-        return float(sigma2_expect) + beta2_cross * geo / denom * scale
-    b1, b1p = beta1_pair
-    denom = b1 + b1p - beta2_cross
-    if denom <= 0:
-        raise DegenerateDenominator("requires beta1 + beta1' > beta2 cross moment")
-    base = 1.0 - b1 - b1p + beta2_cross
-    geo = 1.0 if np.isinf(L) else 1.0 - base ** L
-    return beta2_cross * geo / denom * scale
+        return float(sigma2_expect) + _stick_bracket(b1, b1, beta2_cross, L) * scale
+    return _stick_bracket(*beta1_pair, beta2_cross, L) * scale

@@ -176,51 +176,45 @@ class GibbsSampler:
         else:
             self.psi_range = (-1.0, 1.0)
 
-        self._f_cache: tuple | None = None  # (rho, F, F_prec, chol_F, logdet_F)
-        self._h_cache: tuple | None = None  # (psi, H, cho, H_inv, logdet_H)
-        self.rho_scale = 1.0
-        self.psi_scale = 1.0
+        # one kernel per correlation parameter: (value, *spatial_ops / temporal_ops)
+        self._cache: dict[str, tuple | None] = {"rho": None, "psi": None}
+        self.scale = {"rho": 1.0, "psi": 1.0}  # random-walk scales, tuned in burn-in
         self._accept = {"rho": [0, 0], "psi": [0, 0]}
 
     # -- kernel caches ------------------------------------------------------
 
     def spatial_ops(self, rho: float):
-        """F(rho), its precision, a factor S with S S^T = F, and log|F|."""
-        if self._f_cache is not None and self._f_cache[0] == rho:
-            return self._f_cache[1:]
+        """Precision of F(rho), its Cholesky factor S (S S^T = F), and log|F|."""
+        cached = self._cache["rho"]
+        if cached is not None and cached[0] == rho:
+            return cached[1:]
         if self.spec.spatial_loadings:
             skind = self.spec.spatial_kernel
             struct = self.data.spatial
-            F = spatial_correlation(SpatialKernelSpec(skind, rho), struct)
+            factor = np.linalg.cholesky(
+                spatial_correlation(SpatialKernelSpec(skind, rho), struct))
             if skind == "car":
                 prec = np.diag(struct.neighbour_counts) - rho * struct.adjacency
-                cho_prec = np.linalg.cholesky(prec)
-                logdet_F = -2.0 * float(np.sum(np.log(np.diag(cho_prec))))
-                # S = L^-T with L L^T the precision Cholesky gives S S^T = F
-                factor = sla.solve_triangular(cho_prec.T, np.eye(self.m), lower=False)
             else:
-                prec = np.linalg.inv(F)
-                factor = np.linalg.cholesky(F)
-                logdet_F = 2.0 * float(np.sum(np.log(np.diag(factor))))
+                prec = sla.cho_solve((factor, True), np.eye(self.m))
+            logdet_F = 2.0 * float(np.sum(np.log(np.diag(factor))))
         else:
-            F = np.eye(self.m)
-            prec = np.eye(self.m)
-            factor = np.eye(self.m)
+            prec = factor = np.eye(self.m)
             logdet_F = 0.0
-        self._f_cache = (rho, F, prec, factor, logdet_F)
-        return self._f_cache[1:]
+        self._cache["rho"] = (rho, prec, factor, logdet_F)
+        return prec, factor, logdet_F
 
     def temporal_ops(self, psi: float):
-        """H(psi), its Cholesky pair for solves, inverse, and log|H|."""
-        if self._h_cache is not None and self._h_cache[0] == psi:
-            return self._h_cache[1:]
-        H = temporal_correlation(TemporalKernelSpec(self.spec.temporal_kernel, psi),
-                                 self.times)
-        cho = sla.cho_factor(H, lower=True)
-        H_inv = sla.cho_solve(cho, np.eye(self.T))
-        logdet_H = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-        self._h_cache = (psi, H, cho, H_inv, logdet_H)
-        return self._h_cache[1:]
+        """Cholesky factor of H(psi), its inverse, and log|H|."""
+        cached = self._cache["psi"]
+        if cached is not None and cached[0] == psi:
+            return cached[1:]
+        chol_H = np.linalg.cholesky(temporal_correlation(
+            TemporalKernelSpec(self.spec.temporal_kernel, psi), self.times))
+        H_inv = sla.cho_solve((chol_H, True), np.eye(self.T))
+        logdet_H = 2.0 * float(np.sum(np.log(np.diag(chol_H))))
+        self._cache["psi"] = (psi, chol_H, H_inv, logdet_H)
+        return chol_H, H_inv, logdet_H
 
     # -- working response -----------------------------------------------------
 
@@ -298,8 +292,7 @@ class GibbsSampler:
             upsilon = np.atleast_2d(invwishart.rvs(self.upsilon_df, self.upsilon_scale,
                                                    random_state=rng))
         upsilon = self._guard_spd(upsilon, self.upsilon_df, self.upsilon_scale)
-        H, _, _, _ = self.temporal_ops(psi)
-        cho_H = np.linalg.cholesky(H)
+        cho_H, _, _ = self.temporal_ops(psi)
         cho_U = np.linalg.cholesky(upsilon)
         eta = cho_H @ rng.standard_normal((self.T, k)) @ cho_U.T
 
@@ -322,7 +315,7 @@ class GibbsSampler:
             lam = loadings_from_atoms(stick)
         else:
             lam = np.empty((self.N, k))
-            _, _, factor, _ = self.spatial_ops(rho)
+            _, factor, _ = self.spatial_ops(rho)
             cho_k = np.linalg.cholesky(kappa)
             for j in range(k):
                 B = factor @ rng.standard_normal((self.m, self.O)) @ cho_k.T
@@ -338,7 +331,7 @@ class GibbsSampler:
 
     def _draw_alpha_prior(self, kappa, rho, rng, count=1) -> np.ndarray:
         """`count` stick fields from N(0, kappa (x) F(rho)), rows (count, N)."""
-        _, _, factor, _ = self.spatial_ops(rho)
+        _, factor, _ = self.spatial_ops(rho)
         cho_k = np.linalg.cholesky(kappa)
         B = factor @ rng.standard_normal((count, self.m, self.O)) @ cho_k.T
         return B.transpose(0, 2, 1).reshape(count, self.N)  # location-fastest rows
@@ -415,7 +408,7 @@ class GibbsSampler:
     def update_factors(self, state: ChainState, rng) -> None:
         k = self.spec.k
         yw, prec = self.working(state)
-        _, _, H_inv, _ = self.temporal_ops(state.psi)
+        _, H_inv, _ = self.temporal_ops(state.psi)
         U_inv = np.linalg.inv(state.upsilon)
         P = np.kron(H_inv, U_inv)
         b = np.empty(self.T * k)
@@ -461,7 +454,7 @@ class GibbsSampler:
 
     def _alpha_posterior_cho(self, state):
         """Cholesky of kappa^-1 (x) F^-1 + I, shared by all stick updates."""
-        _, F_prec, _, _ = self.spatial_ops(state.rho)
+        F_prec, _, _ = self.spatial_ops(state.rho)
         kinv = np.linalg.inv(state.kappa)
         P = np.kron(kinv, F_prec) + np.eye(self.N)
         return sla.cho_factor(P, lower=True)
@@ -529,7 +522,7 @@ class GibbsSampler:
         tau = state.mgp.precisions()
         yw, prec = self.working(state)
         offset = self.predictor_offset(state)
-        _, F_prec, _, _ = self.spatial_ops(state.rho)
+        F_prec, _, _ = self.spatial_ops(state.rho)
         kinv = np.linalg.inv(state.kappa)
         K_prec = np.kron(kinv, F_prec)
         for j in range(self.spec.k):
@@ -563,29 +556,26 @@ class GibbsSampler:
         if "delta" not in spec.fixed:
             self._update_delta(state, rng)
 
-    def _spatial_vectors(self, state) -> tuple[np.ndarray, np.ndarray]:
-        """Stick fields (or scaled loading columns) as rows, with their scales."""
+    def _spatial_quads(self, state, F_prec) -> tuple[np.ndarray, np.ndarray]:
+        """B F^-1 B^T, shape (n, O, O), for every stick field (or loading
+        column) as an (O, m) matrix B, with each row's prior scale."""
         if self.spec.uses_sticks:
-            rows = [a for a in state.stick.alpha if a.shape[0]]
-            if not rows:
-                return np.empty((0, self.N)), np.empty(0)
-            V = np.vstack(rows)
-            return V, np.ones(V.shape[0])
-        tau = state.mgp.precisions()
-        return state.lam.T.copy(), tau
+            V = np.vstack(state.stick.alpha)
+            scales = np.ones(V.shape[0])
+        else:
+            V, scales = state.lam.T, state.mgp.precisions()
+        B = V.reshape(-1, self.O, self.m)  # location-fastest stacking
+        return B @ F_prec @ B.transpose(0, 2, 1), scales
 
     def _update_kappa(self, state: ChainState, rng) -> None:
-        V, scales = self._spatial_vectors(state)
-        _, F_prec, _, _ = self.spatial_ops(state.rho)
-        S = self.kappa_scale.copy()
-        for v, s in zip(V, scales):
-            Bmat = v.reshape(self.O, self.m).T  # (m, O), location-fastest stacking
-            S += s * (Bmat.T @ F_prec @ Bmat)
-        df = self.kappa_df + V.shape[0] * self.m
+        F_prec, _, _ = self.spatial_ops(state.rho)
+        Q, scales = self._spatial_quads(state, F_prec)
+        S = self.kappa_scale + np.tensordot(scales, Q, axes=1)
+        df = self.kappa_df + Q.shape[0] * self.m
         state.kappa = np.atleast_2d(invwishart.rvs(df, S, random_state=rng))
 
     def _update_upsilon(self, state: ChainState, rng) -> None:
-        _, _, H_inv, _ = self.temporal_ops(state.psi)
+        _, H_inv, _ = self.temporal_ops(state.psi)
         S = self.upsilon_scale + state.eta.T @ H_inv @ state.eta
         df = self.upsilon_df + self.T
         state.upsilon = np.atleast_2d(invwishart.rvs(df, S, random_state=rng))
@@ -596,10 +586,9 @@ class GibbsSampler:
             ssq = np.array([float(t @ t) for t in state.stick.theta])
             n_atoms = np.array([t.size for t in state.stick.theta], dtype=float)
         else:
-            _, F_prec, _, _ = self.spatial_ops(state.rho)
-            kinv = np.linalg.inv(state.kappa)
-            K_prec = np.kron(kinv, F_prec)
-            ssq = np.einsum("nj,nm,mj->j", state.lam, K_prec, state.lam)
+            F_prec, _, _ = self.spatial_ops(state.rho)
+            Q, _ = self._spatial_quads(state, F_prec)
+            ssq = np.sum(Q * np.linalg.inv(state.kappa), axis=(1, 2))
             n_atoms = np.full(spec.k, float(self.N))
         delta = state.mgp.delta
         if state.mgp.multiplicative:
@@ -617,19 +606,13 @@ class GibbsSampler:
     # -- correlation parameters (random-walk Metropolis) -------------------------
 
     def _rho_logtarget(self, state, rho) -> float:
-        V, scales = self._spatial_vectors(state)
-        if V.shape[0] == 0:
-            return 0.0
-        _, F_prec, _, logdet_F = self.spatial_ops(rho)
-        kinv = np.linalg.inv(state.kappa)
-        quad = 0.0
-        for v, s in zip(V, scales):
-            Bmat = v.reshape(self.O, self.m).T
-            quad += s * float(np.sum((Bmat.T @ F_prec @ Bmat) * kinv))
-        return -0.5 * V.shape[0] * self.O * logdet_F - 0.5 * quad
+        F_prec, _, logdet_F = self.spatial_ops(rho)
+        Q, scales = self._spatial_quads(state, F_prec)
+        quad = float(scales @ np.sum(Q * np.linalg.inv(state.kappa), axis=(1, 2)))
+        return -0.5 * Q.shape[0] * self.O * logdet_F - 0.5 * quad
 
     def _psi_logtarget(self, state, psi) -> float:
-        _, _, H_inv, logdet_H = self.temporal_ops(psi)
+        _, H_inv, logdet_H = self.temporal_ops(psi)
         U_inv = np.linalg.inv(state.upsilon)
         quad = float(np.sum((state.eta.T @ H_inv @ state.eta) * U_inv))
         lp = -0.5 * self.spec.k * logdet_H - 0.5 * quad
@@ -654,47 +637,40 @@ class GibbsSampler:
         log_jac = (softplus(x) + softplus(-x)) - (softplus(x_new) + softplus(-x_new))
         return v_new, log_jac
 
+    def _metropolis(self, name, state, value, bounds, logtarget, rng) -> float:
+        """One random-walk step for `name`; returns the new value.
+
+        The current value's kernel is already cached, so only the proposal
+        builds one.  An accepted proposal keeps its kernel in the cache; a
+        rejected one puts the current value's kernel back.
+        """
+        prop, log_jac = self._logit_step(value, *bounds, self.scale[name], rng)
+        current = logtarget(state, value)
+        saved = self._cache[name]
+        logr = logtarget(state, prop) - current + log_jac
+        self._accept[name][1] += 1
+        if math.log(rng.uniform()) < logr:
+            self._accept[name][0] += 1
+            return prop
+        self._cache[name] = saved
+        return value
+
     def update_correlation_parameters(self, state: ChainState, rng) -> None:
         spec = self.spec
         if (spec.spatial_loadings and spec.rho_prior == "uniform"
                 and "rho" not in spec.fixed):
-            lo, hi = spec.rho_bounds
-            prop, log_jac = self._logit_step(state.rho, lo, hi, self.rho_scale, rng)
-            cur_cache = self._f_cache
-            logr = self._rho_logtarget(state, prop) - self._rho_logtarget(state, state.rho) \
-                + log_jac
-            self._accept["rho"][1] += 1
-            if math.log(rng.uniform()) < logr:
-                state.rho = prop
-                self.spatial_ops(prop)
-                self._accept["rho"][0] += 1
-            else:
-                self._f_cache = cur_cache
+            state.rho = self._metropolis("rho", state, state.rho, spec.rho_bounds,
+                                         self._rho_logtarget, rng)
         if spec.psi is None and "psi" not in spec.fixed:
-            lo, hi = self.psi_range
-            prop, log_jac = self._logit_step(state.psi, lo, hi, self.psi_scale, rng)
-            cur_cache = self._h_cache
-            logr = self._psi_logtarget(state, prop) - self._psi_logtarget(state, state.psi) \
-                + log_jac
-            self._accept["psi"][1] += 1
-            if math.log(rng.uniform()) < logr:
-                state.psi = prop
-                self.temporal_ops(prop)
-                self._accept["psi"][0] += 1
-            else:
-                self._h_cache = cur_cache
+            state.psi = self._metropolis("psi", state, state.psi, self.psi_range,
+                                         self._psi_logtarget, rng)
 
     def adapt_proposals(self) -> None:
         """Retune the random-walk scales toward the 20-60% acceptance window."""
-        for name in ("rho", "psi"):
-            acc, tot = self._accept[name]
+        for name, (acc, tot) in self._accept.items():
             if tot >= 25:
-                rate = acc / tot
-                factor = math.exp(rate - 0.4)
-                if name == "rho":
-                    self.rho_scale = float(np.clip(self.rho_scale * factor, 0.01, 10.0))
-                else:
-                    self.psi_scale = float(np.clip(self.psi_scale * factor, 0.01, 10.0))
+                factor = math.exp(acc / tot - 0.4)
+                self.scale[name] = float(np.clip(self.scale[name] * factor, 0.01, 10.0))
                 self._accept[name] = [0, 0]
 
     # -- sweep and chain --------------------------------------------------------

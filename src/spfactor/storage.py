@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import format_float
-
 _MAGIC = b"SPFACTOR\x00"
 _FORMAT_VERSION = 2
 
@@ -236,20 +234,20 @@ def write_draws_csv(path, draws: PosteriorDraws) -> None:
     header += ["rho", "psi"]
     if draws.has_sticks:
         header += [f"xi[{j + 1},{c + 1}]" for j in range(draws.k) for c in range(N)]
+    floats = [draws.beta, draws.eta, draws.lam]
+    if draws.family == "gaussian":
+        floats.append(draws.sigma2)
+    floats += [draws.kappa, draws.upsilon, draws.delta, draws.rho, draws.psi]
+    # csv writes a Python float as its repr, which is data.format_float
+    values = np.hstack([_by_draw(a, S).astype(float) for a in floats])
+    ids = np.column_stack([draws.chain, draws.iteration]).astype(int).tolist()
+    xi = _by_draw(draws.xi, S).tolist() if draws.has_sticks else [[]] * S
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(header)
-        for s in range(S):
-            row = [int(draws.chain[s]), int(draws.iteration[s])]
-            row += [format_float(v) for v in draws.beta[s]]
-            row += [format_float(v) for v in draws.eta[s].reshape(-1)]
-            row += [format_float(v) for v in draws.lam[s].reshape(-1)]
-            if draws.family == "gaussian":
-                row += [format_float(v) for v in draws.sigma2[s]]
-            row += [format_float(v) for v in draws.kappa[s].reshape(-1)]
-            row += [format_float(v) for v in draws.upsilon[s].reshape(-1)]
-            row += [format_float(v) for v in draws.delta[s]]
-            row += [format_float(draws.rho[s]), format_float(draws.psi[s])]
-            if draws.has_sticks:
-                row += [str(int(v)) for v in draws.xi[s].reshape(-1)]
-            out.writerow(row)
+        out.writerows(a + v.tolist() + x for a, v, x in zip(ids, values, xi))
+
+
+def _by_draw(a: np.ndarray, S: int) -> np.ndarray:
+    """`a` with one row per draw, the remaining axes flattened C-order."""
+    return a.reshape(S, int(np.prod(a.shape[1:])))

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 from scipy.stats import kstest
 
 from spfactor.clustering import cocluster_probability, select_kstar
@@ -191,20 +192,24 @@ def test_criterion_4_conjugate_and_prior_recovery():
             rec["psi"][i] = state.psi
             rec["rho"][i] = state.rho
             rec["xi1"][i] = (state.stick.xi[0] == 1).mean()
-            rec["eta2"][i] = (state.eta ** 2).mean()
-            rec["ups"][i] = state.upsilon[0, 0]
-            rec["kap"][i] = state.kappa[0, 0]
+            rec["eta2"][i] = (state.eta ** 2).mean() / state.upsilon[0, 0]
+            rec["ups"][i] = math.log(state.upsilon[0, 0])
+            rec["kap"][i] = math.log(state.kappa[0, 0])
             tau1 = state.mgp.precisions()[0]
             rec["theta2"][i] = (state.stick.theta[0] ** 2).mean() * tau1
         rec = {k: v[4000:] for k, v in rec.items()}
+        # Upsilon and kappa are IW(4, 1) = IG(2, 0.5), whose variance is
+        # infinite, so their means are checked on the log scale, and eta^2
+        # relative to Upsilon (H has a unit diagonal)
+        log_ig = math.log(0.5) - float(digamma(2.0))
         checks = [
             ("beta", 0.0),    # N(0, 9)
             ("sig", 1.0),     # IG(3, 2)
             ("delt", 2.0),    # Ga(2, 1)
             ("xi1", 0.5),     # E[Phi(alpha)] by symmetry
-            ("eta2", 0.5),    # E[Upsilon] for IW(4, 1)
-            ("ups", 0.5),
-            ("kap", 0.5),
+            ("eta2", 1.0),    # E[eta^2 | Upsilon] = Upsilon
+            ("ups", log_ig),  # E[log X] = log(0.5) - digamma(2)
+            ("kap", log_ig),
             ("theta2", 1.0),  # theta ~ N(0, 1/tau)
         ]
         for name, target in checks:

@@ -4,6 +4,12 @@ from scipy.stats import kstest
 
 from spfactor.clustering import build_w
 from spfactor.data import ObservationSet
+from spfactor.kernels import (
+    SpatialKernelSpec,
+    TemporalKernelSpec,
+    spatial_correlation,
+    temporal_correlation,
+)
 from spfactor.likelihoods import LikelihoodSpec
 from spfactor import sampler as sampler_module
 from spfactor.psbp import stick_weights_matrix
@@ -80,7 +86,8 @@ def test_factors_prior_recovery_when_loadings_zero(rng):
     state = sampler.init_state(rng)
     state.lam[:] = 0.0
     state.upsilon = np.diag([1.0, 2.0])
-    H, _, _, _ = sampler.temporal_ops(state.psi)
+    chol_H, _, _ = sampler.temporal_ops(state.psi)
+    H = chol_H @ chol_H.T
     draws = np.empty((4000, data.T, 2))
     for s in range(draws.shape[0]):
         sampler.update_factors(state, rng)
@@ -217,7 +224,7 @@ def test_kappa_reduces_to_inverse_gamma_for_single_type(rng):
     state = sampler.init_state(rng)
     # hold the stick fields fixed: kappa | alpha ~ IW(df + n m, Theta + S)
     V = np.vstack([a for a in state.stick.alpha if a.shape[0]])
-    _, F_prec, _, _ = sampler.spatial_ops(state.rho)
+    F_prec, _, _ = sampler.spatial_ops(state.rho)
     quad = sum(float(v @ F_prec @ v) for v in V)
     df = 5.0 + V.shape[0] * 3
     scale = 2.0 + quad
@@ -269,11 +276,83 @@ def test_proposal_adaptation_moves_scale(rng):
     spec = tiny_spec(k=1)
     sampler = GibbsSampler(spec, data)
     state = sampler.init_state(rng)
-    sampler.psi_scale = 100.0  # force near-zero acceptance
+    sampler.scale["psi"] = 100.0  # force near-zero acceptance
     for _ in range(60):
         sampler.update_correlation_parameters(state, rng)
     sampler.adapt_proposals()
-    assert sampler.psi_scale < 100.0
+    assert sampler.scale["psi"] < 100.0
+
+
+def test_each_kernel_is_built_at_most_once_per_sweep(monkeypatch):
+    builds = {"spatial_correlation": 0, "temporal_correlation": 0}
+
+    def counted(name):
+        build = getattr(sampler_module, name)
+
+        def wrapper(*args, **kwargs):
+            builds[name] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name in builds:
+        monkeypatch.setattr(sampler_module, name, counted(name))
+    spec = tiny_spec(k=2, loadings_prior="gaussian-car", rho_prior="uniform")
+    sampler = GibbsSampler(spec, gaussian_dataset())
+    draws = sampler.run(60, burn_in=30, seed=4)
+    assert 0 < draws.acceptance["rho"] < 1 and 0 < draws.acceptance["psi"] < 1
+    # one proposal per sweep for each of rho and psi, plus the initial state
+    assert 60 < builds["spatial_correlation"] <= 61
+    assert 60 < builds["temporal_correlation"] <= 61
+
+
+@pytest.mark.parametrize("loadings_prior", ["gaussian-car", "psbp-spatial"])
+def test_quadratic_forms_match_kronecker_precision_with_two_types(rng, loadings_prior):
+    T, m = 4, 6
+    data = ObservationSet(y=rng.normal(size=(T, 2, m)), times=np.linspace(0.0, 1.0, T),
+                          spatial=king_grid(2, 3))
+    spec = tiny_spec(k=2, L=4, loadings_prior=loadings_prior, rho=0.7,
+                     shrinkage="independent-gamma", kappa_scale=np.eye(2))
+    sampler = GibbsSampler(spec, data)
+    state = sampler.init_state(rng)
+    state.kappa = np.array([[1.0, 0.3], [0.3, 0.5]])
+    F = spatial_correlation(SpatialKernelSpec("car", 0.7), data.spatial)
+    K_prec = np.kron(np.linalg.inv(state.kappa), np.linalg.inv(F))  # location-fastest vec
+    if spec.uses_sticks:
+        rows = np.vstack(state.stick.alpha)
+        scales = np.ones(rows.shape[0])
+    else:
+        rows, scales = state.lam.T, state.mgp.precisions()
+    ssq = np.einsum("rn,nm,rm->r", rows, K_prec, rows)
+    expect = -0.5 * rows.shape[0] * 2 * np.linalg.slogdet(F)[1] - 0.5 * scales @ ssq
+    assert sampler._rho_logtarget(state, 0.7) == pytest.approx(expect, rel=1e-10)
+    if not spec.uses_sticks:
+        class GammaArgs:
+            def gamma(self, shape, scale):
+                self.rate = 1.0 / scale
+                return np.ones_like(shape)
+
+        rec = GammaArgs()
+        sampler._update_delta(state, rec)
+        assert np.allclose(rec.rate, spec.a2 + 0.5 * ssq, rtol=1e-10)
+
+
+@pytest.mark.parametrize("kernel, structure, rho", [
+    ("car", king_grid(2, 3), 0.8), ("exponential-gp", point_line(6), 0.7)])
+def test_kernel_ops_factor_precision_and_logdet(kernel, structure, rho):
+    T = 5
+    data = ObservationSet(y=np.zeros((T, 1, 6)), times=np.linspace(0.0, 1.0, T),
+                          spatial=structure)
+    sampler = GibbsSampler(tiny_spec(spatial_kernel=kernel), data)
+    F = spatial_correlation(SpatialKernelSpec(kernel, rho), structure)
+    prec, factor, logdet = sampler.spatial_ops(rho)
+    assert np.allclose(factor @ factor.T, F)
+    assert np.allclose(prec @ F, np.eye(F.shape[0]))
+    assert logdet == pytest.approx(np.linalg.slogdet(F)[1], rel=1e-10)
+    H = temporal_correlation(TemporalKernelSpec("exponential", 2.0), data.times)
+    chol_H, H_inv, logdet_H = sampler.temporal_ops(2.0)
+    assert np.allclose(chol_H @ chol_H.T, H)
+    assert np.allclose(H_inv @ H, np.eye(T))
+    assert logdet_H == pytest.approx(np.linalg.slogdet(H)[1], rel=1e-10)
 
 
 # -- sweeps, runs, and bookkeeping ------------------------------------------------------
