@@ -14,6 +14,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .data import SpatialStructure
 from .errors import (
@@ -60,20 +61,21 @@ class TemporalKernelSpec:
             raise ValueError(f"unknown temporal kernel {self.kind!r}")
 
 
-def _check_spd(mat: np.ndarray, err: type[Exception], what: str) -> np.ndarray:
-    """Return mat, with a one-shot diagonal jitter retry on factorization failure."""
+def _check_spd(mat: np.ndarray, err: type[Exception],
+               what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Return (mat, its lower Cholesky factor), with a one-shot diagonal jitter
+    retry on factorization failure (then both are the jittered matrix's)."""
     try:
-        np.linalg.cholesky(mat)
-        return mat
+        return mat, np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         pass
     jittered = mat + _JITTER * np.eye(mat.shape[0])
     try:
-        np.linalg.cholesky(jittered)
-        log.warning("%s required a %g diagonal jitter to factorize", what, _JITTER)
-        return jittered
+        factor = np.linalg.cholesky(jittered)
     except np.linalg.LinAlgError:
         raise err(f"{what} is not positive-definite")
+    log.warning("%s required a %g diagonal jitter to factorize", what, _JITTER)
+    return jittered, factor
 
 
 def spatial_correlation(spec: SpatialKernelSpec, structure: SpatialStructure) -> np.ndarray:
@@ -83,16 +85,14 @@ def spatial_correlation(spec: SpatialKernelSpec, structure: SpatialStructure) ->
             raise KindMismatch("car kernel needs areal structure")
         W = structure.adjacency
         Dw = np.diag(structure.neighbour_counts)
-        prec = Dw - spec.rho * W
-        try:
-            F = np.linalg.inv(_check_spd(prec, SingularPrecision, "CAR precision D_w - rho*W"))
-        except SingularPrecision:
-            raise
-        return _check_spd(0.5 * (F + F.T), SingularPrecision, "CAR correlation")
+        _, factor = _check_spd(Dw - spec.rho * W, SingularPrecision,
+                               "CAR precision D_w - rho*W")
+        F = sla.cho_solve((factor, True), np.eye(W.shape[0]))
+        return _check_spd(0.5 * (F + F.T), SingularPrecision, "CAR correlation")[0]
     if structure.kind != "point":
         raise KindMismatch("exponential-gp kernel needs point structure")
     F = np.exp(-spec.rho * structure.distances)
-    return _check_spd(F, NonPositiveDefinite, "exponential spatial correlation")
+    return _check_spd(F, NonPositiveDefinite, "exponential spatial correlation")[0]
 
 
 def temporal_correlation(spec: TemporalKernelSpec, times: np.ndarray) -> np.ndarray:
@@ -118,7 +118,7 @@ def temporal_correlation(spec: TemporalKernelSpec, times: np.ndarray) -> np.ndar
         if off.size and off.max() >= 1.0:
             raise NonPositiveDefinite(
                 "degenerate temporal correlation: unit off-diagonal entries")
-    return _check_spd(H, NonPositiveDefinite, "temporal correlation H(psi)")
+    return _check_spd(H, NonPositiveDefinite, "temporal correlation H(psi)")[0]
 
 
 def psi_bounds(times: np.ndarray) -> tuple[float, float]:

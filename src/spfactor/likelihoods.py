@@ -3,8 +3,9 @@
 The binomial likelihood exp{theta*y - n*log(1+e^theta)} becomes a Gaussian
 kernel in the linear predictor after augmenting with omega ~ PG(n, theta):
 exp{-0.5*omega*(y* - theta)^2} with y* = (y - n/2)/omega.  PG(1, c) draws use
-the exact alternating-series accept/reject sampler; integer shapes sum
-independent unit-shape draws.
+the exact alternating-series accept/reject sampler, with the constants that
+depend on c computed once per cell and the series test taken in ratio form;
+integer shapes sum independent unit-shape draws in one bincount pass.
 """
 
 from __future__ import annotations
@@ -93,30 +94,24 @@ def pg_transform(y, n, omega) -> tuple[np.ndarray, np.ndarray]:
 
 # -- Polya-Gamma sampling ---------------------------------------------------
 #
-# PG(1, c) = J*(1, |c|/2) / 4 where J* is the tilted Jacobi variable; the
-# accept/reject uses the piecewise alternating-series bounds with the usual
-# inverse-Gaussian / exponential proposal split at t = 0.64.
+# PG(1, c) = J*(1, z) / 4 with z = |c|/2, where J* is the tilted Jacobi
+# variable, drawn by Devroye's exact accept/reject (Polson, Scott & Windle
+# 2013).  A proposal x comes from a truncated exponential on (0.64, inf) or a
+# truncated inverse Gaussian on (0, 0.64).  z, the exponential rate fz and the
+# branch weight depend on the cell only, so they are computed once per cell
+# and indexed per unit draw.  The alternating-series test is divided by its
+# first coefficient: a_n(x) / a_0(x) = (2n+1) exp(-g n(n+1)), with g = 2/x for
+# x <= 0.64 and g = pi^2 x / 2 above, and x is accepted iff
+# U <= 1 - r_1 + r_2 - ..., decided at the first odd partial sum U falls
+# below or the first even one it exceeds.  PG(b, c) for integer b sums b
+# independent unit draws.
 
 _TRUNC = 0.64
 
 
-def _a_coef(n: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """n-th alternating-series coefficient of the J*(1) density, piecewise in x."""
-    half = n + 0.5
-    out = np.empty_like(x)
-    left = x <= _TRUNC
-    xl = x[left]
-    out[left] = np.pi * half[left] * (2.0 / (np.pi * xl)) ** 1.5 \
-        * np.exp(-2.0 * half[left] ** 2 / xl)
-    xr = x[~left]
-    out[~left] = np.pi * half[~left] * np.exp(-0.5 * half[~left] ** 2 * np.pi ** 2 * xr)
-    return out
-
-
-def _texpon_weight(z: np.ndarray) -> np.ndarray:
+def _texpon_weight(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
     """P(proposal comes from the truncated-exponential branch)."""
     t = _TRUNC
-    fz = np.pi ** 2 / 8.0 + z ** 2 / 2.0
     b = np.sqrt(1.0 / t) * (t * z - 1.0)
     a = -np.sqrt(1.0 / t) * (t * z + 1.0)
     x0 = np.log(fz) + fz * t
@@ -127,9 +122,8 @@ def _texpon_weight(z: np.ndarray) -> np.ndarray:
 
 
 def _rtinvgauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-Gaussian(mu=1/z, lambda=1) truncated to (0, TRUNC), vectorized."""
+    """Inverse-Gaussian(mu=1/z, lambda=1) truncated to (0, TRUNC) for z >= 0."""
     t = _TRUNC
-    z = np.abs(z)
     out = np.empty_like(z)
     big = z < 1.0 / t  # mu > t: sample via the chi-square tail trick
     idx = np.flatnonzero(big)
@@ -155,69 +149,61 @@ def _rtinvgauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _pg1_draws(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized exact PG(1, c) draws."""
-    z = np.abs(np.asarray(c, dtype=float)) / 2.0
-    n = z.size
-    out = np.empty(n)
-    todo = np.arange(n)
-    fz = np.pi ** 2 / 8.0 + z ** 2 / 2.0
-    pexp = _texpon_weight(z)
-    while todo.size:
-        zt = z[todo]
-        take_exp = rng.uniform(size=todo.size) < pexp[todo]
-        x = np.empty(todo.size)
-        if take_exp.any():
-            x[take_exp] = _TRUNC + rng.standard_exponential(take_exp.sum()) / fz[todo][take_exp]
-        if (~take_exp).any():
-            x[~take_exp] = _rtinvgauss(zt[~take_exp], rng)
-        # alternating-series accept/reject on the proposal x
-        s = _a_coef(np.zeros(todo.size), x)
-        yv = rng.uniform(size=todo.size) * s
-        decided = np.zeros(todo.size, dtype=bool)
-        accepted = np.zeros(todo.size, dtype=bool)
-        term = 0
-        while not decided.all():
-            term += 1
-            live = ~decided
-            a = _a_coef(np.full(live.sum(), float(term)), x[live])
-            if term % 2 == 1:
-                s[live] -= a
-                newly = live.copy()
-                newly[live] = yv[live] <= s[live]
-                accepted |= newly
-                decided |= newly
-            else:
-                s[live] += a
-                newly = live.copy()
-                newly[live] = yv[live] > s[live]
-                decided |= newly
-        out[todo[accepted]] = x[accepted] / 4.0
-        todo = todo[~accepted]
-    return out
+def _series_accepts(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Devroye's alternating-series test of proposals x against uniforms u."""
+    g = np.where(x <= _TRUNC, 2.0 / x, 0.5 * np.pi ** 2 * x)
+    accepted = np.zeros(x.size, dtype=bool)
+    live = np.arange(x.size)
+    s = np.ones(x.size)
+    n = 0
+    while live.size:
+        n += 1
+        r = (2 * n + 1) * np.exp(-(n * (n + 1)) * g)
+        if n % 2:
+            s = s - r
+            done = u <= s
+            accepted[live[done]] = True
+        else:
+            s = s + r
+            done = u > s
+        keep = ~done
+        live, g, u, s = live[keep], g[keep], u[keep], s[keep]
+    return accepted
 
 
 def pg_sample(b: int, c: float, rng: np.random.Generator) -> float:
-    """One exact PG(b, c) draw for integer b >= 1."""
-    if b < 1 or b != int(b):
-        raise ValueError("b must be a positive integer")
-    return float(_pg1_draws(np.full(int(b), float(c)), rng).sum())
+    """One exact PG(b, c) draw for integer b >= 0; b = 0 gives an exact 0."""
+    return float(pg_sample_array(b, c, rng))
 
 
 def pg_sample_array(b, c, rng: np.random.Generator) -> np.ndarray:
-    """Elementwise exact PG(b_i, c_i) draws; b_i = 0 yields a degenerate 0."""
-    b = np.asarray(b)
+    """Elementwise exact PG(b_i, c_i) draws for integers b_i >= 0.
+
+    b broadcasts to the shape of c; b_i = 0 gives an exact 0.  Raises
+    ValueError for a negative or non-integer b_i.
+    """
     c = np.asarray(c, dtype=float)
-    b_flat = np.round(np.broadcast_to(b, c.shape).ravel()).astype(int)
-    c_flat = c.ravel()
-    if np.any(b_flat < 0):
+    b = np.broadcast_to(np.asarray(b), c.shape).ravel()
+    with np.errstate(invalid="ignore"):
+        trials = b.astype(np.int64)
+    if np.any(trials != b) or np.any(trials < 0):
         raise ValueError("b must be nonnegative integers")
-    reps = np.repeat(np.arange(b_flat.size), b_flat)
-    out = np.zeros(b_flat.size)
-    if reps.size:
-        unit = _pg1_draws(c_flat[reps], rng)
-        np.add.at(out, reps, unit)
-    return out.reshape(c.shape)
+    z = np.abs(c.ravel()) / 2.0
+    fz = np.pi ** 2 / 8.0 + z ** 2 / 2.0
+    pexp = _texpon_weight(z, fz)
+    cell = np.repeat(np.arange(trials.size), trials)
+    unit = np.empty(cell.size)
+    todo = np.arange(cell.size)
+    while todo.size:
+        ct = cell[todo]
+        take_exp = rng.uniform(size=todo.size) < pexp[ct]
+        x = np.empty(todo.size)
+        x[take_exp] = _TRUNC + rng.standard_exponential(take_exp.sum()) / fz[ct[take_exp]]
+        x[~take_exp] = _rtinvgauss(z[ct[~take_exp]], rng)
+        accepted = _series_accepts(x, rng.uniform(size=todo.size))
+        unit[todo[accepted]] = x[accepted] / 4.0
+        todo = todo[~accepted]
+    return np.bincount(cell, weights=unit, minlength=trials.size).reshape(c.shape)
 
 
 def pg_mean(b, c):

@@ -76,13 +76,14 @@ def test_criterion_2_pg_moments():
     rng = np.random.default_rng(202)
     n = 100000
     worst = 0.0
-    for b in (1, 3):
-        for c in (0.0, 1.0, 2.0):
-            x = pg_sample_array(np.full(n, b), np.full(n, c), rng)
-            target = float(pg_mean(b, c))
-            rel = abs(x.mean() - target) / target
-            worst = max(worst, rel)
-            assert rel < 0.01, (b, c, rel)
+    # c = 4 and (40, 3.5) reach both inverse-Gaussian proposal branches.
+    cells = [(b, c) for b in (1, 3) for c in (0.0, 1.0, 2.0)] + [(1, 4.0), (3, 4.0), (40, 3.5)]
+    for b, c in cells:
+        x = pg_sample_array(np.full(n, b), np.full(n, c), rng)
+        target = float(pg_mean(b, c))
+        rel = abs(x.mean() - target) / target
+        worst = max(worst, rel)
+        assert rel < 0.01, (b, c, rel)
     _report(2, t0, f"worst relative mean error over (b,c) grid = {worst:.4f}")
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import truncnorm
+from scipy.stats import ks_2samp, truncnorm
 
 from spfactor.errors import DimensionMismatch, NonPositiveOmega, NonPositiveVariance
 from spfactor.likelihoods import (
@@ -84,6 +84,35 @@ def test_pg_sample_negative_c_symmetry(rng):
 def test_pg_zero_trials(rng):
     x = pg_sample_array(np.zeros(5), np.ones(5), rng)
     assert np.array_equal(x, np.zeros(5))
+    assert pg_sample(0, 1.3, rng) == 0.0
+
+
+@pytest.mark.parametrize("b", [2.4, -1, -1.0, np.nan])
+def test_pg_rejects_negative_or_fractional_shape(rng, b):
+    with pytest.raises(ValueError):
+        pg_sample(b, 1.0, rng)
+    with pytest.raises(ValueError):
+        pg_sample_array(np.array([1.0, b]), np.ones(2), rng)
+
+
+def _pg_series_reference(b, c, n, rng, terms=200):
+    """PG(b, c) from its infinite-convolution definition, cut after `terms`
+    Gamma(b, 1) terms; the tail is replaced by its mean."""
+    k = np.arange(1, terms + 1)
+    weights = 1.0 / (2.0 * np.pi ** 2 * ((k - 0.5) ** 2 + c ** 2 / (4.0 * np.pi ** 2)))
+    head = rng.gamma(b, size=(n, terms)) @ weights
+    return head + (float(pg_mean(b, c)) - b * weights.sum())
+
+
+def test_pg_matches_series_reference_by_ks():
+    # |c| > 3.125 reaches the z >= 1/0.64 proposal branch of the inverse Gaussian.
+    rng = np.random.default_rng(515)
+    n = 20000
+    for b, c in [(1, 0.0), (1, 1.0), (1, 4.0), (1, 8.0), (3, 2.5), (40, 0.5), (40, -3.5)]:
+        x = pg_sample_array(np.full(n, b), np.full(n, c), rng)
+        ref = _pg_series_reference(b, c, n, rng)
+        # a correct sampler fails one cell with probability 1e-5, the grid < 1e-4
+        assert ks_2samp(x, ref).pvalue > 1e-5, (b, c)
 
 
 def test_pg_gaussian_kernel_identity(rng):
