@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .errors import DegenerateData, ZeroResidualVariance
 from .storage import PosteriorDraws
@@ -229,7 +229,7 @@ def cluster_trend_pvalues(ppd_values: np.ndarray, times: np.ndarray,
         raise ZeroResidualVariance("exact-fit series leaves no residual variance")
     se = np.sqrt(sse / df / sxx)
     tstat = slopes / se
-    pv = student_t.cdf(tstat, df) if side == "lower" else student_t.sf(tstat, df)
+    pv = stdtr(df, tstat) if side == "lower" else stdtr(df, -tstat)
     labels = np.asarray(labels)
     uniq = np.unique(labels)
     return np.array([pv[labels == lab].mean() for lab in uniq])

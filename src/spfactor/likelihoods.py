@@ -126,19 +126,21 @@ def _rtinvgauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     t = _TRUNC
     out = np.empty_like(z)
     big = z < 1.0 / t  # mu > t: sample via the chi-square tail trick
+    half_z2 = 0.5 * z ** 2
     idx = np.flatnonzero(big)
     while idx.size:
         e1 = rng.standard_exponential(idx.size)
         e2 = rng.standard_exponential(idx.size)
         ok = e1 ** 2 <= 2.0 * e2 / t
         cand = t / (1.0 + t * e1) ** 2
-        alpha = np.exp(-0.5 * z[idx] ** 2 * cand)
+        alpha = np.exp(-half_z2[idx] * cand)
         accept = ok & (rng.uniform(size=idx.size) <= alpha)
         out[idx[accept]] = cand[accept]
         idx = idx[~accept]
+    inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=~big)  # z may be 0 where big
     idx = np.flatnonzero(~big)
     while idx.size:
-        mu = 1.0 / z[idx]
+        mu = inv_z[idx]
         ysq = rng.standard_normal(idx.size) ** 2
         cand = mu + 0.5 * mu * mu * ysq - 0.5 * mu * np.sqrt(4.0 * mu * ysq + (mu * ysq) ** 2)
         flip = rng.uniform(size=idx.size) > mu / (mu + cand)

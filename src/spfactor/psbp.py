@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
-from scipy.stats import norm
 
 from .errors import DegenerateDenominator, IndicatorOutOfRange
 
@@ -146,6 +144,11 @@ def beta_moment_2(mu, cov) -> float:
 
     Deterministic adaptive quadrature, accurate to well below 1e-8.
     """
+    # imported here: the sampler never calls this oracle, and the two
+    # modules would add about a second to every process's import
+    from scipy.integrate import quad
+    from scipy.stats import norm
+
     mu = np.asarray(mu, dtype=float).reshape(2)
     C = np.asarray(cov, dtype=float).reshape(2, 2) + np.eye(2)
     s1 = np.sqrt(C[0, 0])

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.special import ndtr
-from scipy.stats import invwishart
 
 from .data import ObservationSet, validate
 from .errors import NonPositiveScale
@@ -42,6 +42,29 @@ _LOADINGS_PRIORS = ("psbp-spatial", "psbp-independent", "gaussian-car", "gaussia
 _SHRINKAGES = ("mgp", "independent-gamma")
 _MAX_STICKS = 256
 _LOGLIK_MEMMAP_CELLS = 10_000_000  # larger loglik matrices go to an unlinked temp file
+
+
+def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One inverse-Wishart(df, scale) draw by the Bartlett decomposition
+    (Smith & Hocking 1972, AS 53).
+
+    Reads the rng and runs the same BLAS calls as scipy 1.17's
+    `invwishart.rvs`, so the draw (C-ordered, as scipy returns it) is
+    bit-identical to scipy's for the same generator state, without importing
+    scipy.stats.
+    """
+    d = scale.shape[0]
+    if df <= d - 1:
+        raise ValueError("Degrees of freedom must be greater than the "
+                         "dimension of scale matrix minus 1.")
+    C = sla.cholesky(scale, lower=True)
+    A = np.zeros((d, d))
+    A[np.tril_indices(d, -1)] = rng.normal(size=d * (d - 1) // 2)
+    A[np.diag_indices(d)] = rng.chisquare((df - d + 1) + np.arange(d)) ** 0.5
+    if d == 1:
+        return np.array([[(C[0, 0] / A[0, 0]) ** 2]])
+    CA = dtrsm(1.0, A, C, side=1, lower=True)
+    return np.ascontiguousarray(dtrmm(1.0, CA, CA, side=1, lower=True, trans_a=True))
 
 
 @dataclass(frozen=True)
@@ -273,8 +296,7 @@ class GibbsSampler:
         tau = mgp.precisions()
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            kappa = np.atleast_2d(invwishart.rvs(self.kappa_df, self.kappa_scale,
-                                                 random_state=rng))
+            kappa = invwishart_rvs(self.kappa_df, self.kappa_scale, rng)
         kappa = self._guard_spd(kappa, self.kappa_df, self.kappa_scale)
         if spec.rho_prior == "fixed" or not spec.spatial_loadings:
             rho = spec.rho
@@ -289,8 +311,7 @@ class GibbsSampler:
             psi = float(2.0 * rng.beta(g, b) - 1.0)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            upsilon = np.atleast_2d(invwishart.rvs(self.upsilon_df, self.upsilon_scale,
-                                                   random_state=rng))
+            upsilon = invwishart_rvs(self.upsilon_df, self.upsilon_scale, rng)
         upsilon = self._guard_spd(upsilon, self.upsilon_df, self.upsilon_scale)
         cho_H, _, _ = self.temporal_ops(psi)
         cho_U = np.linalg.cholesky(upsilon)
@@ -572,13 +593,13 @@ class GibbsSampler:
         Q, scales = self._spatial_quads(state, F_prec)
         S = self.kappa_scale + np.tensordot(scales, Q, axes=1)
         df = self.kappa_df + Q.shape[0] * self.m
-        state.kappa = np.atleast_2d(invwishart.rvs(df, S, random_state=rng))
+        state.kappa = invwishart_rvs(df, S, rng)
 
     def _update_upsilon(self, state: ChainState, rng) -> None:
         _, H_inv, _ = self.temporal_ops(state.psi)
         S = self.upsilon_scale + state.eta.T @ H_inv @ state.eta
         df = self.upsilon_df + self.T
-        state.upsilon = np.atleast_2d(invwishart.rvs(df, S, random_state=rng))
+        state.upsilon = invwishart_rvs(df, S, rng)
 
     def _update_delta(self, state: ChainState, rng) -> None:
         spec = self.spec

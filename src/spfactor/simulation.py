@@ -25,7 +25,7 @@ from .kernels import SpatialKernelSpec, spatial_correlation
 from .likelihoods import LikelihoodSpec
 from .prediction import PPDRequest, ppd_sample
 from .psbp import stick_weights_matrix
-from .sampler import ModelSpec, run_chain
+from .sampler import ModelSpec, invwishart_rvs, run_chain
 
 _ROW_SPANS = [(2, 5), (1, 6), (0, 7), (0, 8), (0, 8), (0, 7), (1, 6), (2, 5)]
 _BLIND_SPOT = {(3, 8), (4, 8)}
@@ -119,9 +119,7 @@ def generate_sim1(cfg: Sim1Config, rng: np.random.Generator) -> Sim1Truth:
         xi = (u[None, :] > cum).sum(axis=0)
         lam[:, j] = theta[xi]
 
-    from scipy.stats import invwishart
-    upsilon = np.atleast_2d(invwishart.rvs(cfg.k_true + 1, np.eye(cfg.k_true),
-                                           random_state=rng))
+    upsilon = invwishart_rvs(cfg.k_true + 1, np.eye(cfg.k_true), rng)
     gaps = np.abs(times_all[:, None] - times_all[None, :])
     H = np.power(cfg.psi, gaps)
     eta = np.linalg.cholesky(H) @ rng.standard_normal((T_all, cfg.k_true)) \

@@ -230,3 +230,13 @@ def test_fit_artifacts_share_plain_open_mode(tmp_path, sim_dir):
     assert set(modes) == {"draws.bin", "draws.csv", "fit_report.txt",
                           "fit_report.json", "manifest.json"}
     assert set(modes.values()) == {stat.S_IMODE(ref.stat().st_mode)}
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.stats and scipy.integrate add about a second to every CLI process
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, spfactor, spfactor.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.path.abspath(src)), check=True)
+    assert out.stdout.strip() == "[]"

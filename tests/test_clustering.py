@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import t as student_t
 
 from spfactor.clustering import (
     build_w,
@@ -167,6 +168,25 @@ def test_trend_pvalues_decreasing_series(rng):
     pv_up = cluster_trend_pvalues(vals, times, np.ones(4, dtype=int), side="upper")
     assert pv_low[0] < 0.001
     assert pv_up[0] > 0.999
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_trend_pvalues_match_student_t(rng, side):
+    Q, N = 5, 12
+    times = np.linspace(0.0, 1.0, Q)
+    vals = rng.normal(size=(Q, N)) + rng.normal(size=N) * times[:, None]
+    labels = np.arange(N) % 3
+    # the OLS t statistic in the same operation order as the package
+    tc = times - times.mean()
+    sxx = float(tc @ tc)
+    slopes = (tc @ vals) / sxx
+    fitted = vals.mean(axis=0)[None, :] + tc[:, None] * slopes[None, :]
+    sse = ((vals - fitted) ** 2).sum(axis=0)
+    tstat = slopes / np.sqrt(sse / (Q - 2) / sxx)
+    pv = (student_t.cdf if side == "lower" else student_t.sf)(tstat, Q - 2)
+    expect = np.array([pv[labels == lab].mean() for lab in range(3)])
+    got = cluster_trend_pvalues(vals, times, labels, side=side)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_trend_pvalues_exact_fit_raises():

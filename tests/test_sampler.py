@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import invwishart, kstest
 
 from spfactor.clustering import build_w
 from spfactor.data import ObservationSet
@@ -20,6 +20,7 @@ from spfactor.sampler import (
     assert_stick_consistency,
     gibbs_sweep,
     init_state,
+    invwishart_rvs,
     load_checkpoint,
     run_chain,
     save_checkpoint,
@@ -214,6 +215,25 @@ def test_sigma2_zero_residual_ig(rng):
     mean, var = 1.0 / 5.0, 1.0 / (25.0 * 4.0)
     assert draws.mean() == pytest.approx(mean, abs=3 * np.sqrt(var / draws.size))
     assert draws.var() == pytest.approx(var, rel=0.1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_invwishart_rvs_matches_scipy(d):
+    meta = np.random.default_rng(600 + d)
+    for case in range(40):
+        df = d - 1 + [0.5, 1.0, 2.5, 7.0, 31.25][case % 5]
+        G = meta.standard_normal((d, d + 2))
+        scale = G @ G.T * meta.uniform(0.01, 100.0)
+        ours, ref = np.random.default_rng(case), np.random.default_rng(case)
+        draw = invwishart_rvs(df, scale, ours)
+        expect = np.atleast_2d(invwishart.rvs(df, scale, random_state=ref))
+        assert draw.tobytes() == expect.tobytes()
+        assert ours.random() == ref.random()
+    with pytest.raises(ValueError):
+        invwishart_rvs(d - 1, np.eye(d), meta)
+    not_pd = -np.eye(d)
+    with pytest.raises(np.linalg.LinAlgError):
+        invwishart_rvs(d + 1.0, not_pd, meta)
 
 
 def test_kappa_reduces_to_inverse_gamma_for_single_type(rng):
