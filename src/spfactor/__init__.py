@@ -25,8 +25,6 @@ from .sampler import (
     ChainState,
     GibbsSampler,
     ModelSpec,
-    gibbs_sweep,
-    init_state,
     load_checkpoint,
     run_chain,
     run_chains,

@@ -167,23 +167,11 @@ class ObservationSet:
     def stacked_mask(self) -> np.ndarray:
         return self.missing_mask.reshape(self.T, self.n_cells)
 
-    def design_matrix(self, t: int) -> np.ndarray:
-        """Covariate matrix X_t, shape (mO, p); 1-based t."""
-        if not 1 <= t <= self.T:
-            raise IndexOutOfRange(f"visit index {t} outside 1..{self.T}")
-        if self.covariates is None:
-            return np.zeros((self.n_cells, 0))
-        return self.covariates[t - 1].reshape(self.n_cells, self.p)
-
     def stacked_covariates(self) -> np.ndarray:
         """All design matrices: shape (T, mO, p)."""
         if self.covariates is None:
             return np.zeros((self.T, self.n_cells, 0))
         return self.covariates.reshape(self.T, self.n_cells, self.p)
-
-    def cell_labels(self) -> list[tuple[int, int]]:
-        """(type_id, location_id) per stacked cell, both 1-based."""
-        return [(o + 1, i + 1) for o in range(self.O) for i in range(self.m)]
 
 
 def validate(data: ObservationSet, family: str | None = None) -> None:

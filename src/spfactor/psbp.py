@@ -79,9 +79,6 @@ class StickState:
         """(L_j, n_cells) weight matrix for column j under the closing rule."""
         return stick_weights_matrix(self.alpha[j], closing=not self.slice_mode)
 
-    def loadings(self) -> np.ndarray:
-        return loadings_from_atoms(self)
-
 
 def stick_weights(alpha_col: np.ndarray) -> np.ndarray:
     """Weights from one stick vector: length L from L-1 sticks, summing to one.

@@ -11,6 +11,7 @@ on a transformed scale, tuned during burn-in only.
 
 from __future__ import annotations
 
+import copy
 import math
 import tempfile
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .likelihoods import (
     truncated_normal,
 )
 from .psbp import MgpState, StickState, loadings_from_atoms, stick_weights_matrix
-from .storage import PosteriorDraws
+from .storage import DRAW_FIELDS, PosteriorDraws
 
 _LOADINGS_PRIORS = ("psbp-spatial", "psbp-independent", "gaussian-car", "gaussian-iid")
 _SHRINKAGES = ("mgp", "independent-gamma")
@@ -149,22 +150,7 @@ class ChainState:
     omega: np.ndarray | None = None  # (T, n_cells) binomial only
 
     def copy(self) -> "ChainState":
-        stick = None
-        if self.stick is not None:
-            stick = StickState(
-                alpha=[a.copy() for a in self.stick.alpha],
-                theta=[t.copy() for t in self.stick.theta],
-                xi=self.stick.xi.copy(), L=self.stick.L.copy(),
-                slice_mode=self.stick.slice_mode)
-        return ChainState(
-            beta=self.beta.copy(), eta=self.eta.copy(), lam=self.lam.copy(),
-            stick=stick,
-            mgp=MgpState(self.mgp.delta.copy(), self.mgp.a1, self.mgp.a2,
-                         self.mgp.multiplicative),
-            kappa=self.kappa.copy(), rho=self.rho, psi=self.psi,
-            upsilon=self.upsilon.copy(),
-            sigma2=None if self.sigma2 is None else self.sigma2.copy(),
-            omega=None if self.omega is None else self.omega.copy())
+        return copy.deepcopy(self)
 
 
 class GibbsSampler:
@@ -359,44 +345,28 @@ class GibbsSampler:
 
     def _init_sticks(self, kappa, rho, tau, rng) -> StickState:
         spec = self.spec
-        k = spec.k
+        max_sticks = _MAX_STICKS if spec.slice_mode else spec.L - 1
         alpha, thetas = [], []
-        xi = np.ones((k, self.N), dtype=int)
-        Ls = np.ones(k, dtype=int)
-        for j in range(k):
-            max_sticks = _MAX_STICKS if spec.slice_mode else spec.L - 1
-            a_rows = []
+        xi = np.empty((spec.k, self.N), dtype=int)
+        Ls = np.empty(spec.k, dtype=int)
+        for j in range(spec.k):
+            rows = []
             undecided = np.arange(self.N)
-            xi_j = np.full(self.N, 0, dtype=int)
-            l = 0
-            while undecided.size and l < max_sticks:
+            while undecided.size and len(rows) < max_sticks:
                 a = self._draw_alpha_prior(kappa, rho, rng)[0]
-                a_rows.append(a)
-                l += 1
+                rows.append(a)
                 hit = rng.uniform(size=undecided.size) < ndtr(a[undecided])
-                xi_j[undecided[hit]] = l
+                xi[j, undecided[hit]] = len(rows)
                 undecided = undecided[~hit]
-            if spec.slice_mode:
-                if undecided.size:  # force leftovers onto one extra stick
-                    a = self._draw_alpha_prior(kappa, rho, rng)[0]
-                    a_rows.append(a)
-                    l += 1
-                    xi_j[undecided] = l
-                L_j = max(l, 1)
-                if not a_rows:
-                    a_rows.append(self._draw_alpha_prior(kappa, rho, rng)[0])
-                    L_j = 1
-            else:
-                xi_j[undecided] = spec.L
-                L_j = spec.L
-            a_mat = np.array(a_rows) if a_rows else np.empty((0, self.N))
-            n_sticks = L_j if spec.slice_mode else L_j - 1
-            a_mat = a_mat[:n_sticks] if a_mat.shape[0] >= n_sticks else np.vstack(
-                [a_mat, self._draw_alpha_prior(kappa, rho, rng, n_sticks - a_mat.shape[0])])
-            alpha.append(a_mat)
-            thetas.append(rng.normal(0.0, 1.0 / math.sqrt(tau[j]), size=L_j))
-            xi[j] = xi_j
-            Ls[j] = L_j
+            if not spec.slice_mode:
+                xi[j, undecided] = spec.L
+                rows.extend(self._draw_alpha_prior(kappa, rho, rng, max_sticks - len(rows)))
+            elif undecided.size:  # force leftovers onto one extra stick
+                rows.append(self._draw_alpha_prior(kappa, rho, rng)[0])
+                xi[j, undecided] = len(rows)
+            Ls[j] = len(rows) if spec.slice_mode else spec.L
+            alpha.append(np.reshape(rows, (len(rows), self.N)))
+            thetas.append(rng.normal(0.0, 1.0 / math.sqrt(tau[j]), size=Ls[j]))
         return StickState(alpha=alpha, theta=thetas, xi=xi, L=Ls,
                           slice_mode=spec.slice_mode)
 
@@ -755,7 +725,7 @@ class GibbsSampler:
         else:
             loglik = np.empty((n_obs, 0))
 
-        keep = _DrawBuffer(self, n_keep)
+        keep = _DrawBuffer(self, n_keep, chain_id)
         kept = 0
         for it in range(1, n_iter + 1):
             self.sweep(state, rng)
@@ -771,83 +741,59 @@ class GibbsSampler:
             if t:
                 acc[name] = a / t
         self.last_state = state
-        return keep.finish(chain_id, loglik, obs_index, acc)
+        return keep.finish(loglik, obs_index, acc)
 
 
 class _DrawBuffer:
     """Accumulates retained states into PosteriorDraws arrays, and each
     column's stick weights into a running sum over draws."""
 
-    def __init__(self, sampler: GibbsSampler, n_keep: int):
+    def __init__(self, sampler: GibbsSampler, n_keep: int, chain_id: int):
         self.sampler = sampler
         spec = sampler.spec
-        k, N, T, p = spec.k, sampler.N, sampler.T, sampler.p
-        self.iteration = np.zeros(n_keep, dtype=int)
-        self.beta = np.zeros((n_keep, p))
-        self.eta = np.zeros((n_keep, T, k))
-        self.lam = np.zeros((n_keep, N, k))
-        self.sigma2 = np.zeros((n_keep, N))
-        self.kappa = np.zeros((n_keep, sampler.O, sampler.O))
-        self.upsilon = np.zeros((n_keep, k, k))
-        self.delta = np.zeros((n_keep, k))
-        self.rho = np.zeros(n_keep)
-        self.psi = np.zeros(n_keep)
-        self.xi = np.zeros((n_keep, k, N), dtype=int)
+        k, N, O = spec.k, sampler.N, sampler.O
+        shapes = {"iteration": (), "chain": (), "beta": (sampler.p,),
+                  "eta": (sampler.T, k), "lam": (N, k), "sigma2": (N,),
+                  "kappa": (O, O), "upsilon": (k, k), "delta": (k,),
+                  "rho": (), "psi": (), "xi": (k, N)}
+        self.arrays = {
+            name: np.zeros((n_keep, *shapes[name]),
+                           dtype=int if name in ("iteration", "chain", "xi") else float)
+            for name in DRAW_FIELDS}
+        self.arrays["chain"][:] = chain_id
         self.weight_sum = [np.zeros((N, 0)) for _ in range(k)] \
             if spec.uses_sticks else []
 
     def add(self, state: ChainState, it: int, s: int) -> None:
-        spec = self.sampler.spec
-        self.iteration[s] = it
-        self.beta[s] = state.beta
-        self.eta[s] = state.eta
-        self.lam[s] = state.lam
+        values = {"iteration": it, "beta": state.beta, "eta": state.eta,
+                  "lam": state.lam, "kappa": state.kappa, "upsilon": state.upsilon,
+                  "delta": state.mgp.delta, "rho": state.rho, "psi": state.psi}
         if state.sigma2 is not None:
-            self.sigma2[s] = state.sigma2
-        self.kappa[s] = state.kappa
-        self.upsilon[s] = state.upsilon
-        self.delta[s] = state.mgp.delta
-        self.rho[s] = state.rho
-        self.psi[s] = state.psi
-        if spec.uses_sticks:
-            self.xi[s] = state.stick.xi
-            for j in range(spec.k):
-                w = stick_weights_matrix(state.stick.alpha[j], closing=True).T
+            values["sigma2"] = state.sigma2
+        if state.stick is not None:
+            values["xi"] = state.stick.xi
+            for j, alpha in enumerate(state.stick.alpha):
+                w = stick_weights_matrix(alpha, closing=True).T
                 grow = w.shape[1] - self.weight_sum[j].shape[1]
                 if grow > 0:
                     self.weight_sum[j] = np.pad(self.weight_sum[j], ((0, 0), (0, grow)))
                 self.weight_sum[j][:, :w.shape[1]] += w
+        for name, value in values.items():
+            self.arrays[name][s] = value
 
-    def finish(self, chain_id, loglik, obs_index, acceptance) -> PosteriorDraws:
+    def finish(self, loglik, obs_index, acceptance) -> PosteriorDraws:
         sampler = self.sampler
         spec = sampler.spec
-        n_keep = self.rho.size
         return PosteriorDraws(
             family=spec.likelihood.family, loadings_prior=spec.loadings_prior,
             temporal_kernel=spec.temporal_kernel, times=sampler.times,
-            m=sampler.m, O=sampler.O, k=spec.k, p=sampler.p,
-            iteration=self.iteration,
-            chain=np.full(n_keep, chain_id, dtype=int),
-            beta=self.beta, eta=self.eta, lam=self.lam, sigma2=self.sigma2,
-            kappa=self.kappa, upsilon=self.upsilon, delta=self.delta,
-            rho=self.rho, psi=self.psi, xi=self.xi,
+            m=sampler.m, O=sampler.O, k=spec.k, p=sampler.p, **self.arrays,
             weight_sum=self.weight_sum,
             loglik=loglik, obs_index=obs_index, acceptance=acceptance,
             last_trials=None if sampler.trials is None else sampler.trials[-1].copy())
 
 
 # -- module-level API ----------------------------------------------------------
-
-
-def init_state(spec: ModelSpec, data: ObservationSet,
-               rng: np.random.Generator) -> ChainState:
-    return GibbsSampler(spec, data).init_state(rng)
-
-
-def gibbs_sweep(state: ChainState, spec: ModelSpec, data: ObservationSet,
-                rng: np.random.Generator) -> ChainState:
-    GibbsSampler(spec, data).sweep(state, rng)
-    return state
 
 
 def run_chain(spec: ModelSpec, data: ObservationSet, n_iter: int,

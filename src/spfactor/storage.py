@@ -9,13 +9,22 @@ same draws always serialize to the same bytes.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _MAGIC = b"SPFACTOR\x00"
 _FORMAT_VERSION = 2
+
+# The scalar header of PosteriorDraws, kept in the container's metadata block.
+HEADER_FIELDS = ("family", "loadings_prior", "temporal_kernel", "m", "O", "k", "p")
+# The arrays with one entry per retained draw (leading axis S), in the order
+# the container stores them: after `times`, before `loglik`.
+DRAW_FIELDS = ("iteration", "chain", "beta", "eta", "lam", "sigma2", "kappa",
+               "upsilon", "delta", "rho", "psi", "xi")
 
 
 @dataclass
@@ -84,28 +93,13 @@ def merge_draws(parts: list[PosteriorDraws]) -> PosteriorDraws:
     for p in parts:
         for key, val in p.acceptance.items():
             acc.setdefault(key, []).append(val)
-    acc = {k: float(np.mean(v)) for k, v in acc.items()}
-    return PosteriorDraws(
-        family=head.family, loadings_prior=head.loadings_prior,
-        temporal_kernel=head.temporal_kernel, times=head.times,
-        m=head.m, O=head.O, k=head.k, p=head.p,
-        iteration=np.concatenate([p.iteration for p in parts]),
-        chain=np.concatenate([p.chain for p in parts]),
-        beta=np.concatenate([p.beta for p in parts]),
-        eta=np.concatenate([p.eta for p in parts]),
-        lam=np.concatenate([p.lam for p in parts]),
-        sigma2=np.concatenate([p.sigma2 for p in parts]),
-        kappa=np.concatenate([p.kappa for p in parts]),
-        upsilon=np.concatenate([p.upsilon for p in parts]),
-        delta=np.concatenate([p.delta for p in parts]),
-        rho=np.concatenate([p.rho for p in parts]),
-        psi=np.concatenate([p.psi for p in parts]),
-        xi=np.concatenate([p.xi for p in parts]),
+    return dataclasses.replace(
+        head,
+        **{name: np.concatenate([getattr(p, name) for p in parts])
+           for name in DRAW_FIELDS},
         weight_sum=[add_padded(sums) for sums in zip(*(p.weight_sum for p in parts))],
         loglik=np.concatenate([np.asarray(p.loglik) for p in parts], axis=1),
-        obs_index=head.obs_index,
-        acceptance=acc,
-        last_trials=head.last_trials,
+        acceptance={k: float(np.mean(v)) for k, v in acc.items()},
     )
 
 
@@ -152,24 +146,15 @@ def _read_blob(fh) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def save_draws(path, draws: PosteriorDraws) -> None:
-    meta = {
-        "kind": "posterior_draws",
-        "family": draws.family,
-        "loadings_prior": draws.loadings_prior,
-        "temporal_kernel": draws.temporal_kernel,
-        "m": draws.m, "O": draws.O, "k": draws.k, "p": draws.p,
-        "acceptance": {key: float(v) for key, v in draws.acceptance.items()},
-    }
-    arrays = {
-        "times": draws.times, "iteration": draws.iteration, "chain": draws.chain,
-        "beta": draws.beta, "eta": draws.eta, "lam": draws.lam,
-        "sigma2": draws.sigma2, "kappa": draws.kappa, "upsilon": draws.upsilon,
-        "delta": draws.delta, "rho": draws.rho, "psi": draws.psi,
-        "xi": draws.xi, "loglik": np.asarray(draws.loglik),
-        "obs_index": draws.obs_index,
-        "last_trials": (draws.last_trials if draws.last_trials is not None
-                        else np.zeros(0)),
-    }
+    meta = {name: getattr(draws, name) for name in HEADER_FIELDS}
+    meta["kind"] = "posterior_draws"
+    meta["acceptance"] = {key: float(v) for key, v in draws.acceptance.items()}
+    arrays = {"times": draws.times}
+    arrays.update((name, getattr(draws, name)) for name in DRAW_FIELDS)
+    arrays["loglik"] = np.asarray(draws.loglik)
+    arrays["obs_index"] = draws.obs_index
+    arrays["last_trials"] = (draws.last_trials if draws.last_trials is not None
+                             else np.zeros(0))
     for j, w in enumerate(draws.weight_sum):
         arrays[f"weight_sum_{j}"] = w
     with open(path, "wb") as fh:
@@ -179,24 +164,13 @@ def save_draws(path, draws: PosteriorDraws) -> None:
 def load_draws(path) -> PosteriorDraws:
     with open(path, "rb") as fh:
         meta, arrays = _read_blob(fh)
-    if meta.get("kind") != "posterior_draws":
+    if meta.pop("kind", None) != "posterior_draws":
         raise ValueError("container does not hold posterior draws")
-    weight_sum = [arrays[f"weight_sum_{j}"] for j in range(meta["k"])
+    weight_sum = [arrays.pop(f"weight_sum_{j}") for j in range(meta["k"])
                   if f"weight_sum_{j}" in arrays]
-    last_trials = arrays.get("last_trials")
-    if last_trials is not None and last_trials.size == 0:
-        last_trials = None
-    return PosteriorDraws(
-        family=meta["family"], loadings_prior=meta["loadings_prior"],
-        temporal_kernel=meta["temporal_kernel"], times=arrays["times"],
-        m=meta["m"], O=meta["O"], k=meta["k"], p=meta["p"],
-        iteration=arrays["iteration"], chain=arrays["chain"], beta=arrays["beta"],
-        eta=arrays["eta"], lam=arrays["lam"], sigma2=arrays["sigma2"],
-        kappa=arrays["kappa"], upsilon=arrays["upsilon"], delta=arrays["delta"],
-        rho=arrays["rho"], psi=arrays["psi"], xi=arrays["xi"],
-        weight_sum=weight_sum, loglik=arrays["loglik"], obs_index=arrays["obs_index"],
-        acceptance=dict(meta["acceptance"]), last_trials=last_trials,
-    )
+    last_trials = arrays.pop("last_trials")
+    return PosteriorDraws(**meta, **arrays, weight_sum=weight_sum,
+                          last_trials=last_trials if last_trials.size else None)
 
 
 def save_state_blob(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -215,39 +189,33 @@ def load_state_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
 def write_draws_csv(path, draws: PosteriorDraws) -> None:
     """One row per retained draw, one named column per scalar parameter.
 
-    PSBP fits add each draw's allocations ``xi[j,cell]``.  Stick weights
+    The `chain, iteration` ids come first, then the remaining per-draw
+    arrays in container order; an array entry is named ``name[i,j,...]``,
+    1-based and in C order, a scalar ``name``.  Integer arrays (the ids and
+    `xi`) are written as integers.  `sigma2` is written only for Gaussian
+    fits and the allocations `xi` only for PSBP fits.  Stick weights
     have no per-draw columns: only their sum over draws is kept, in
     ``draws.bin``.
     """
+    ids = ["chain", "iteration"]
+    names = ids + [n for n in DRAW_FIELDS if n not in ids
+                   and (n != "sigma2" or draws.family == "gaussian")
+                   and (n != "xi" or draws.has_sticks)]
+    arrays = [getattr(draws, name) for name in names]
     S = draws.n_draws
-    T = draws.times.size
-    N = draws.n_cells
-    header = ["chain", "iteration"]
-    header += [f"beta[{i + 1}]" for i in range(draws.p)]
-    header += [f"eta[{t + 1},{j + 1}]" for t in range(T) for j in range(draws.k)]
-    header += [f"lam[{c + 1},{j + 1}]" for c in range(N) for j in range(draws.k)]
-    if draws.family == "gaussian":
-        header += [f"sigma2[{c + 1}]" for c in range(N)]
-    header += [f"kappa[{a + 1},{b + 1}]" for a in range(draws.O) for b in range(draws.O)]
-    header += [f"upsilon[{a + 1},{b + 1}]" for a in range(draws.k) for b in range(draws.k)]
-    header += [f"delta[{h + 1}]" for h in range(draws.k)]
-    header += ["rho", "psi"]
-    if draws.has_sticks:
-        header += [f"xi[{j + 1},{c + 1}]" for j in range(draws.k) for c in range(N)]
-    floats = [draws.beta, draws.eta, draws.lam]
-    if draws.family == "gaussian":
-        floats.append(draws.sigma2)
-    floats += [draws.kappa, draws.upsilon, draws.delta, draws.rho, draws.psi]
-    # csv writes a Python float as its repr, which is data.format_float
-    values = np.hstack([_by_draw(a, S).astype(float) for a in floats])
-    ids = np.column_stack([draws.chain, draws.iteration]).astype(int).tolist()
-    xi = _by_draw(draws.xi, S).tolist() if draws.has_sticks else [[]] * S
+    blocks = [a.reshape(S, math.prod(a.shape[1:])) for a in arrays]
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(header)
-        out.writerows(a + v.tolist() + x for a, v, x in zip(ids, values, xi))
+        out.writerow([col for name, a in zip(names, arrays)
+                      for col in _column_names(name, a.shape[1:])])
+        # row by row, so only one row of Python numbers is alive at a time;
+        # csv writes a Python float as its repr, which is data.format_float
+        out.writerows([x for b in blocks for x in b[s].tolist()] for s in range(S))
 
 
-def _by_draw(a: np.ndarray, S: int) -> np.ndarray:
-    """`a` with one row per draw, the remaining axes flattened C-order."""
-    return a.reshape(S, int(np.prod(a.shape[1:])))
+def _column_names(name: str, shape: tuple) -> list[str]:
+    """``name[i,j,...]`` per entry of an array of `shape`, 1-based and in C
+    order; a bare ``name`` for a scalar."""
+    if not shape:
+        return [name]
+    return [f"{name}[{','.join(str(i + 1) for i in idx)}]" for idx in np.ndindex(shape)]

@@ -18,8 +18,6 @@ from spfactor.sampler import (
     GibbsSampler,
     ModelSpec,
     assert_stick_consistency,
-    gibbs_sweep,
-    init_state,
     invwishart_rvs,
     load_checkpoint,
     run_chain,
@@ -53,8 +51,8 @@ def masked_dataset(T=3, m=3, seed=0):
 def test_init_deterministic():
     data = gaussian_dataset()
     spec = ModelSpec(k=2)
-    s1 = init_state(spec, data, np.random.default_rng(5))
-    s2 = init_state(spec, data, np.random.default_rng(5))
+    s1 = GibbsSampler(spec, data).init_state(np.random.default_rng(5))
+    s2 = GibbsSampler(spec, data).init_state(np.random.default_rng(5))
     assert np.array_equal(s1.eta, s2.eta)
     assert np.array_equal(s1.lam, s2.lam)
     assert s1.rho == s2.rho and s1.psi == s2.psi
@@ -63,7 +61,7 @@ def test_init_deterministic():
 def test_init_mode_gating():
     data = gaussian_dataset()
     spec = ModelSpec(k=2, loadings_prior="gaussian-iid", shrinkage="independent-gamma")
-    state = init_state(spec, data, np.random.default_rng(0))
+    state = GibbsSampler(spec, data).init_state(np.random.default_rng(0))
     assert state.stick is None
     assert state.lam.shape == (data.n_cells, 2)
 
@@ -71,7 +69,7 @@ def test_init_mode_gating():
 def test_init_degenerate_mixture():
     data = gaussian_dataset()
     spec = ModelSpec(k=1, L=1)
-    state = init_state(spec, data, np.random.default_rng(0))
+    state = GibbsSampler(spec, data).init_state(np.random.default_rng(0))
     assert np.all(state.stick.xi == 1)
     assert state.stick.alpha[0].shape == (0, data.n_cells)
     assert np.allclose(state.stick.weights(0), 1.0)
@@ -381,10 +379,10 @@ def test_kernel_ops_factor_precision_and_logdet(kernel, structure, rho):
 def test_sweep_deterministic():
     data = gaussian_dataset()
     spec = ModelSpec(k=2)
-    s1 = init_state(spec, data, np.random.default_rng(3))
+    s1 = GibbsSampler(spec, data).init_state(np.random.default_rng(3))
     s2 = s1.copy()
-    gibbs_sweep(s1, spec, data, np.random.default_rng(11))
-    gibbs_sweep(s2, spec, data, np.random.default_rng(11))
+    GibbsSampler(spec, data).sweep(s1, np.random.default_rng(11))
+    GibbsSampler(spec, data).sweep(s2, np.random.default_rng(11))
     assert np.array_equal(s1.eta, s2.eta)
     assert np.array_equal(s1.lam, s2.lam)
     assert all(np.array_equal(a, b) for a, b in zip(s1.stick.alpha, s2.stick.alpha))
