@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .diagnostics import geweke_z, waic_parts, write_report
 from .errors import (
     DegenerateDraws,
     MissingRequired,
-    SpfactorError,
     UnknownKey,
     ValidationError,
     ZeroVariance,
@@ -127,32 +125,6 @@ _SCHEMA: dict[str, tuple] = {
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def get(self, key, default=None):
-        val = self.values.get(key)
-        return default if val is None else val
-
-    def require(self, *keys):
-        for key in keys:
-            if self.values.get(key) is None:
-                raise MissingRequired(f"config key {key!r} is required")
-
-    def canonical_text(self) -> str:
-        parts = []
-        for key in sorted(self.values):
-            val = self.values[key]
-            if val is None:
-                continue
-            parts.append(f"{key}={val!r}")
-        return "\n".join(parts)
-
-
 def _coerce(key: str, raw: str):
     typ, _ = _SCHEMA[key]
     raw = raw.strip()
@@ -169,8 +141,9 @@ def _coerce(key: str, raw: str):
         raise TypeError(f"config key {key!r} expects {typ.__name__}, got {raw!r}")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse `key = value` lines; unknown keys are rejected."""
+def parse_config(text: str) -> dict:
+    """Parse `key = value` lines into a dict over every schema key (None
+    where unset); unknown keys are rejected."""
     values = {key: default for key, (_, default) in _SCHEMA.items()}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -187,10 +160,10 @@ def parse_config(text: str) -> RunConfig:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             values[key] = _coerce(key, env)
-    return RunConfig(values)
+    return values
 
 
-def load_config(path) -> RunConfig:
+def load_config(path) -> dict:
     if not os.path.exists(path):
         raise MissingRequired(f"config file not found: {path}")
     with open(path) as fh:
@@ -214,36 +187,69 @@ def _atomic_write(path, writer) -> None:
             os.unlink(tmp)
 
 
-def _write_manifest(outdir, cfg: RunConfig, subcommand: str) -> None:
-    import scipy
-
-    manifest = {
-        "subcommand": subcommand,
-        "seed": cfg.get("seed"),
-        "config_sha256": hashlib.sha256(cfg.canonical_text().encode()).hexdigest(),
-        "versions": {"spfactor": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
-    }
-
+def _write_json(path, obj) -> None:
     def write(tmp):
         with open(tmp, "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
+            json.dump(obj, fh, sort_keys=True, indent=1)
             fh.write("\n")
 
-    _atomic_write(os.path.join(outdir, "manifest.json"), write)
+    _atomic_write(path, write)
 
 
-def _load_dataset(cfg: RunConfig) -> ObservationSet:
-    cfg.require("data", "spatial", "times")
-    for key in ("data", "spatial", "times"):
+def _write_csv(path, header, rows) -> None:
+    """Write `header` then the iterable `rows`; csv formats floats by repr."""
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(header)
+            out.writerows(rows)
+
+    _atomic_write(path, write)
+
+
+def _canonical_text(cfg: dict) -> str:
+    """The set keys as sorted `key=repr(value)` lines: the manifest's hash input."""
+    return "\n".join(f"{key}={cfg[key]!r}" for key in sorted(cfg)
+                     if cfg[key] is not None)
+
+
+def _write_manifest(outdir, cfg: dict, subcommand: str) -> None:
+    import scipy
+
+    _write_json(os.path.join(outdir, "manifest.json"), {
+        "subcommand": subcommand,
+        "seed": cfg["seed"],
+        "config_sha256": hashlib.sha256(_canonical_text(cfg).encode()).hexdigest(),
+        "versions": {"spfactor": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
+    })
+
+
+def _require(cfg: dict, *keys, files=()) -> None:
+    """Every key in `keys` and `files` is set, and each of `files` names an
+    existing file."""
+    for key in (*keys, *files):
+        if cfg[key] is None:
+            raise MissingRequired(f"config key {key!r} is required")
+    for key in files:
         if not os.path.exists(cfg[key]):
             raise MissingRequired(f"{key} file not found: {cfg[key]}")
+
+
+def _load_dataset(cfg: dict) -> ObservationSet:
+    _require(cfg, files=("data", "spatial", "times"))
     times = read_times_csv(cfg["times"])
     spatial = read_spatial_csv(cfg["spatial"])
     return read_observations_csv(cfg["data"], times, spatial, family=cfg["family"])
 
 
-def _model_spec(cfg: RunConfig, data: ObservationSet) -> ModelSpec:
+def _load_fit(cfg: dict):
+    """The posterior draws named by the `draws` key."""
+    _require(cfg, files=("draws",))
+    return load_draws(cfg["draws"])
+
+
+def _model_spec(cfg: dict) -> ModelSpec:
     trunc = cfg["truncation"]
     if trunc == "slice":
         L = None
@@ -253,7 +259,7 @@ def _model_spec(cfg: RunConfig, data: ObservationSet) -> ModelSpec:
         except ValueError:
             raise TypeError("truncation must be 'slice' or an integer")
     psi_bounds = None
-    if cfg.values["psi_lo"] is not None and cfg.values["psi_hi"] is not None:
+    if cfg["psi_lo"] is not None and cfg["psi_hi"] is not None:
         psi_bounds = (cfg["psi_lo"], cfg["psi_hi"])
     return ModelSpec(
         k=cfg["k"], likelihood=LikelihoodSpec(cfg["family"]), L=L,
@@ -261,17 +267,17 @@ def _model_spec(cfg: RunConfig, data: ObservationSet) -> ModelSpec:
         loadings_prior=cfg["loadings_prior"], shrinkage=cfg["shrinkage"],
         rho=cfg["rho"], rho_prior=cfg["rho_prior"],
         rho_bounds=(cfg["rho_lo"], cfg["rho_hi"]),
-        psi=cfg.values["psi_fixed"], psi_bounds=psi_bounds,
+        psi=cfg["psi_fixed"], psi_bounds=psi_bounds,
         psi_beta_shapes=(cfg["psi_shape1"], cfg["psi_shape2"]),
         a1=cfg["a1"], a2=cfg["a2"],
         sigma2_a=cfg["sigma2_a"], sigma2_b=cfg["sigma2_b"],
-        kappa_df=cfg.values["kappa_df"], kappa_scale=cfg.values["kappa_scale"],
-        upsilon_df=cfg.values["upsilon_df"], upsilon_scale=cfg.values["upsilon_scale"],
+        kappa_df=cfg["kappa_df"], kappa_scale=cfg["kappa_scale"],
+        upsilon_df=cfg["upsilon_df"], upsilon_scale=cfg["upsilon_scale"],
         beta_prior_var=cfg["beta_prior_var"], pool_sigma2=cfg["pool_sigma2"],
     )
 
 
-def _check_chain_lengths(cfg: RunConfig) -> None:
+def _check_chain_lengths(cfg: dict) -> None:
     if not (cfg["n_iter"] > cfg["burn_in"] >= 0 and cfg["thin"] >= 1):
         raise ValidationError("need n_iter > burn_in >= 0 and thin >= 1")
     if cfg["chains"] < 1 or cfg["threads"] < 1:
@@ -289,15 +295,15 @@ def _write_report_pair(outdir, stem, entries) -> None:
     _atomic_write(os.path.join(outdir, stem + ".txt"), write)
 
 
-def _cmd_fit(cfg: RunConfig, outdir: str) -> None:
+def _cmd_fit(cfg: dict, outdir: str) -> None:
     _check_chain_lengths(cfg)
     data = _load_dataset(cfg)
     try:
-        spec = _model_spec(cfg, data)
+        spec = _model_spec(cfg)
     except ValueError as exc:  # ModelSpec rejecting a config value
         raise ValidationError(str(exc)) from exc
     init = None
-    if cfg.values["resume_from"]:
+    if cfg["resume_from"]:
         from .sampler import load_checkpoint
 
         init, _ = load_checkpoint(cfg["resume_from"])
@@ -311,105 +317,84 @@ def _cmd_fit(cfg: RunConfig, outdir: str) -> None:
     for name, rate in draws.acceptance.items():
         entries[f"acceptance.{name}"] = rate
     _write_report_pair(outdir, "fit_report", entries)
-    if cfg.values["checkpoint"]:
+    if cfg["checkpoint"]:
         _atomic_write(cfg["checkpoint"],
                       lambda p: save_checkpoint(p, final_state,
                                                 sweep_index=cfg["n_iter"]))
     _write_manifest(outdir, cfg, "fit")
 
 
-def _cmd_predict(cfg: RunConfig, outdir: str) -> None:
-    cfg.require("draws")
-    if not os.path.exists(cfg["draws"]):
-        raise MissingRequired(f"draws file not found: {cfg['draws']}")
-    draws = load_draws(cfg["draws"])
-    if cfg.values["new_times"]:
-        new_times = np.array([float(v) for v in str(cfg["new_times"]).split(",")])
-    else:
-        step = (draws.times[-1] - draws.times[0]) / max(1, draws.times.size - 1)
-        new_times = draws.times[-1] + step * np.arange(1, cfg["horizon"] + 1)
+def _forecast_times(draws, horizon: int) -> np.ndarray:
+    """`horizon` future visits after the last one, at the mean observed spacing."""
+    step = (draws.times[-1] - draws.times[0]) / max(1, draws.times.size - 1)
+    return draws.times[-1] + step * np.arange(1, horizon + 1)
+
+
+def _forecast(cfg: dict, draws, new_times: np.ndarray):
+    """Posterior-predictive (values, probs) at `new_times`.  Binomial forecasts
+    use `future_trials` per cell when set, else the last observed totals."""
     trials = None
-    if draws.family == "binomial" and cfg.values["future_trials"] is not None:
+    if draws.family == "binomial" and cfg["future_trials"] is not None:
         trials = np.full((new_times.size, draws.n_cells), cfg["future_trials"])
     request = PPDRequest(new_times=new_times, draws=draws, new_trials=trials)
-    values, probs = ppd_sample(request, seed=cfg["seed"])
+    return ppd_sample(request, seed=cfg["seed"])
 
-    def write(tmp):
-        with open(tmp, "w", newline="") as fh:
-            out = csv.writer(fh)
-            header = ["draw", "time_value", "type_id", "location_id", "value"]
+
+def _cmd_predict(cfg: dict, outdir: str) -> None:
+    draws = _load_fit(cfg)
+    if cfg["new_times"]:
+        new_times = np.array([float(v) for v in str(cfg["new_times"]).split(",")])
+    else:
+        new_times = _forecast_times(draws, cfg["horizon"])
+    values, probs = _forecast(cfg, draws, new_times)
+    header = ["draw", "time_value", "type_id", "location_id", "value"]
+    if probs is not None:
+        header.append("prob")
+    # rows run draw, then time, then cell; csv writes floats as format_float
+    q, c = np.indices(values.shape[1:]).reshape(2, -1)
+    keys = [new_times[q], c // draws.m + 1, c % draws.m + 1]
+
+    def rows():
+        for s in range(values.shape[0]):
+            cols = [np.full(q.size, s + 1), *keys, values[s].ravel()]
             if probs is not None:
-                header.append("prob")
-            out.writerow(header)
-            # rows run draw, then time, then cell; csv writes floats as format_float
-            q, c = np.indices(values.shape[1:]).reshape(2, -1)
-            keys = [new_times[q], c // draws.m + 1, c % draws.m + 1]
-            for s in range(values.shape[0]):
-                cols = [np.full(q.size, s + 1), *keys, values[s].ravel()]
-                if probs is not None:
-                    cols.append(probs[s].ravel())
-                out.writerows(zip(*(col.tolist() for col in cols)))
+                cols.append(probs[s].ravel())
+            yield from zip(*(col.tolist() for col in cols))
 
-    _atomic_write(os.path.join(outdir, "ppd.csv"), write)
+    _write_csv(os.path.join(outdir, "ppd.csv"), header, rows())
     _write_manifest(outdir, cfg, "predict")
 
 
-def _cmd_cluster(cfg: RunConfig, outdir: str) -> None:
-    cfg.require("draws")
-    if not os.path.exists(cfg["draws"]):
-        raise MissingRequired(f"draws file not found: {cfg['draws']}")
-    draws = load_draws(cfg["draws"])
+def _cmd_cluster(cfg: dict, outdir: str) -> None:
+    draws = _load_fit(cfg)
     if not draws.has_sticks:
         raise ValidationError("clustering requires a PSBP fit (models M1-M3)")
-    ppd_values = ppd_times = None
     side = cfg["trend"]
     if side not in ("none", "lower", "upper"):
         raise TypeError("trend must be none, lower, or upper")
+    ppd_values = ppd_times = None
     if side != "none":
-        step = (draws.times[-1] - draws.times[0]) / max(1, draws.times.size - 1)
-        ppd_times = draws.times[-1] + step * np.arange(1, max(3, cfg["horizon"]) + 1)
-        trials = None
-        if draws.family == "binomial" and cfg.values["future_trials"] is not None:
-            trials = np.full((ppd_times.size, draws.n_cells), cfg["future_trials"])
-        request = PPDRequest(new_times=ppd_times, draws=draws, new_trials=trials)
-        ppd_values, _ = ppd_sample(request, seed=cfg["seed"])
+        ppd_times = _forecast_times(draws, max(3, cfg["horizon"]))
+        ppd_values, _ = _forecast(cfg, draws, ppd_times)
     summary = summarize_clusters(draws, K_max=cfg["kmax"], B=cfg["gap_refs"],
                                  seed=cfg["seed"], restarts=cfg["kmeans_restarts"],
                                  ppd_values=ppd_values, ppd_times=ppd_times,
                                  side=side if side != "none" else "lower")
-
-    def write_csv(tmp):
-        with open(tmp, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["type_id", "location_id", "label", "cluster_pvalue"])
-            m = draws.m
-            for c in range(draws.n_cells):
-                lab = int(summary.labels[c])
-                pv = ""
-                if summary.trend_pvalues is not None:
-                    pv = format_float(summary.trend_pvalues[lab - 1])
-                out.writerow([c // m + 1, c % m + 1, lab, pv])
-
-    _atomic_write(os.path.join(outdir, "clusters.csv"), write_csv)
-    report = {
+    pvalues, m = summary.trend_pvalues, draws.m
+    _write_csv(os.path.join(outdir, "clusters.csv"),
+               ["type_id", "location_id", "label", "cluster_pvalue"],
+               ([c // m + 1, c % m + 1, int(lab),
+                 "" if pvalues is None else format_float(pvalues[lab - 1])]
+                for c, lab in enumerate(summary.labels)))
+    _write_json(os.path.join(outdir, "cluster_report.json"), {
         "kstar": summary.kstar, "gap_k": summary.gap_k,
         "ss_psbp": summary.ss_psbp, "bss": summary.bss, "tss": summary.tss,
-    }
-
-    def write_json(tmp):
-        with open(tmp, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-    _atomic_write(os.path.join(outdir, "cluster_report.json"), write_json)
+    })
     _write_manifest(outdir, cfg, "cluster")
 
 
-def _cmd_diagnose(cfg: RunConfig, outdir: str) -> None:
-    cfg.require("draws")
-    if not os.path.exists(cfg["draws"]):
-        raise MissingRequired(f"draws file not found: {cfg['draws']}")
-    draws = load_draws(cfg["draws"])
+def _cmd_diagnose(cfg: dict, outdir: str) -> None:
+    draws = _load_fit(cfg)
     entries = dict(waic_parts(draws.loglik))
     ll_total = np.asarray(draws.loglik).sum(axis=0)
     scalars = {
@@ -431,86 +416,69 @@ def _cmd_diagnose(cfg: RunConfig, outdir: str) -> None:
     _write_manifest(outdir, cfg, "diagnose")
 
 
-def _cmd_simulate(cfg: RunConfig, outdir: str) -> None:
+def _sim1_config(cfg: dict) -> Sim1Config:
+    return Sim1Config(k_true=cfg["k_true"], spatial=cfg["spatial_dep"],
+                      T=cfg["sim_T"], n_future=cfg["n_future"],
+                      sigma2=cfg["sigma2_true"], L_true=cfg["L_true"])
+
+
+def _sim2_config(cfg: dict) -> Sim2Config:
+    return Sim2Config(beta0=cfg["beta0"], beta1=cfg["beta1"], sigma2=cfg["sigma2"],
+                      delta_beta0=cfg["delta_beta0"], delta_beta1=cfg["delta_beta1"],
+                      delta_sigma2=cfg["delta_sigma2"], spatial=cfg["spatial_dep"],
+                      T=cfg["sim_T"])
+
+
+def _cmd_simulate(cfg: dict, outdir: str) -> None:
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     if cfg["design"] == "sim1":
-        truth = generate_sim1(Sim1Config(
-            k_true=cfg["k_true"], spatial=cfg["spatial_dep"], T=cfg["sim_T"],
-            n_future=cfg["n_future"], sigma2=cfg["sigma2_true"],
-            L_true=cfg["L_true"]), rng)
-        data = truth.fit_data
-
-        def write_truth(tmp):
-            with open(tmp, "w", newline="") as fh:
-                out = csv.writer(fh)
-                out.writerow(["time_value", "location_id", "holdout_y"])
-                for q, tv in enumerate(truth.holdout_times):
-                    for i in range(truth.holdout_y.shape[1]):
-                        out.writerow([format_float(tv), i + 1,
-                                      format_float(truth.holdout_y[q, i])])
-
+        truth = generate_sim1(_sim1_config(cfg), rng)
+        header = ["time_value", "location_id", "holdout_y"]
+        rows = ([format_float(tv), i + 1, format_float(y)]
+                for tv, ys in zip(truth.holdout_times, truth.holdout_y)
+                for i, y in enumerate(ys))
     elif cfg["design"] == "sim2":
-        truth = generate_sim2(Sim2Config(
-            beta0=cfg["beta0"], beta1=cfg["beta1"], sigma2=cfg["sigma2"],
-            delta_beta0=cfg["delta_beta0"], delta_beta1=cfg["delta_beta1"],
-            delta_sigma2=cfg["delta_sigma2"], spatial=cfg["spatial_dep"],
-            T=cfg["sim_T"]), rng)
-        data = truth.fit_data
-
-        def write_truth(tmp):
-            with open(tmp, "w", newline="") as fh:
-                out = csv.writer(fh)
-                out.writerow(["location_id", "true_label", "intercept", "slope"])
-                for i in range(truth.labels.size):
-                    out.writerow([i + 1, int(truth.labels[i]),
-                                  format_float(truth.intercepts[i]),
-                                  format_float(truth.slopes[i])])
-
+        truth = generate_sim2(_sim2_config(cfg), rng)
+        header = ["location_id", "true_label", "intercept", "slope"]
+        rows = ([i + 1, int(lab), format_float(a), format_float(b)]
+                for i, (lab, a, b) in enumerate(zip(truth.labels, truth.intercepts,
+                                                    truth.slopes)))
     else:
         raise TypeError("design must be sim1 or sim2")
+    data = truth.fit_data
     _atomic_write(os.path.join(outdir, "data.csv"),
                   lambda p: write_observations_csv(p, data))
     _atomic_write(os.path.join(outdir, "times.csv"),
                   lambda p: write_times_csv(p, data.times))
     _atomic_write(os.path.join(outdir, "spatial.csv"),
                   lambda p: write_spatial_csv(p, data.spatial))
-    _atomic_write(os.path.join(outdir, "truth.csv"), write_truth)
+    _write_csv(os.path.join(outdir, "truth.csv"), header, rows)
     _write_manifest(outdir, cfg, "simulate")
 
 
-def _cmd_experiment(cfg: RunConfig, outdir: str) -> None:
+def _cmd_experiment(cfg: dict, outdir: str) -> None:
     _check_chain_lengths(cfg)
     models = [m.strip() for m in cfg["models"].split(",") if m.strip()]
     try:
         check_experiment(cfg["design"], models)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    sim1_cfg = Sim1Config(k_true=cfg["k_true"], spatial=cfg["spatial_dep"],
-                          T=cfg["sim_T"], n_future=cfg["n_future"],
-                          sigma2=cfg["sigma2_true"], L_true=cfg["L_true"])
-    sim2_cfg = Sim2Config(beta0=cfg["beta0"], beta1=cfg["beta1"],
-                          sigma2=cfg["sigma2"], delta_beta0=cfg["delta_beta0"],
-                          delta_beta1=cfg["delta_beta1"],
-                          delta_sigma2=cfg["delta_sigma2"],
-                          spatial=cfg["spatial_dep"], T=cfg["sim_T"])
     rows = run_experiment(cfg["design"], models, cfg["replicates"], cfg["seed"],
                           n_iter=cfg["n_iter"], burn_in=cfg["burn_in"],
                           thin=cfg["thin"], k_fit=cfg["k"],
-                          sim1_cfg=sim1_cfg, sim2_cfg=sim2_cfg)
+                          sim1_cfg=_sim1_config(cfg), sim2_cfg=_sim2_config(cfg))
+    ids = ["design", "replicate", "model"]
+    metrics = [key for key in rows[0] if key not in ids]
+    _write_csv(os.path.join(outdir, "results.csv"), ids + metrics,
+               ([r[key] for key in ids]
+                + [format_float(r[m]) if isinstance(r[m], float) else r[m]
+                   for m in metrics] for r in rows))
 
-    def write_csv(tmp):
-        metrics = [k for k in rows[0] if k not in ("design", "replicate", "model")]
-        with open(tmp, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["design", "replicate", "model"] + metrics)
-            for r in rows:
-                out.writerow([r["design"], r["replicate"], r["model"]]
-                             + [format_float(r[m]) if isinstance(r[m], float)
-                                else r[m] for m in metrics])
+    def write_table(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(experiment_table(rows))
 
-    _atomic_write(os.path.join(outdir, "results.csv"), write_csv)
-    _atomic_write(os.path.join(outdir, "results.txt"),
-                  lambda p: open(p, "w").write(experiment_table(rows)))
+    _atomic_write(os.path.join(outdir, "results.txt"), write_table)
     _write_manifest(outdir, cfg, "experiment")
 
 
@@ -543,10 +511,10 @@ def main(argv=None) -> int:
         for flag in ("seed", "chains", "threads", "output"):
             val = getattr(args, flag)
             if val is not None:
-                cfg.values[flag] = val
-        if cfg.values.get("seed") is None:
+                cfg[flag] = val
+        if cfg["seed"] is None:
             raise MissingRequired("a seed is required (config key or --seed)")
-        cfg.require("output")
+        _require(cfg, "output")
         outdir = cfg["output"]
         os.makedirs(outdir, exist_ok=True)
         if not os.access(outdir, os.W_OK):
@@ -556,10 +524,7 @@ def main(argv=None) -> int:
     except (ValidationError, TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except SpfactorError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - last-resort runtime guard
+    except Exception as exc:  # numerical and runtime failures
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

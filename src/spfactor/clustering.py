@@ -10,7 +10,7 @@ regressions of the posterior-mean predictive series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import stdtr
@@ -31,7 +31,6 @@ class ClusterSummary:
     tss: float
     trend_pvalues: np.ndarray | None = None
     factor_order: np.ndarray | None = None  # informativeness order, 1-based
-    extras: dict = field(default_factory=dict)
 
 
 def cocluster_probability(draws: PosteriorDraws, j: int) -> np.ndarray:
@@ -44,17 +43,21 @@ def cocluster_probability(draws: PosteriorDraws, j: int) -> np.ndarray:
     return out / S
 
 
+def _off_diagonal(g: np.ndarray) -> np.ndarray:
+    return g[~np.eye(g.shape[0], dtype=bool)]
+
+
+def _informative(off: np.ndarray, lo: float, hi: float) -> bool:
+    """Off-diagonal co-clustering probabilities span the informative range:
+    min below `lo` and max above `hi`."""
+    return bool(off.size) and off.min() < lo and off.max() > hi
+
+
 def select_kstar(g_all: list[np.ndarray], lo: float = 0.2, hi: float = 0.8) -> int:
-    """Largest prefix of factors whose off-diagonal co-clustering spans the
-    informative range: min below `lo` and max above `hi`."""
+    """Largest prefix of factors whose co-clustering is informative."""
     kstar = 0
-    for g in g_all:
-        mask = ~np.eye(g.shape[0], dtype=bool)
-        off = g[mask]
-        if off.size and off.min() < lo and off.max() > hi:
-            kstar += 1
-        else:
-            break
+    while kstar < len(g_all) and _informative(_off_diagonal(g_all[kstar]), lo, hi):
+        kstar += 1
     return kstar
 
 
@@ -84,10 +87,9 @@ def informativeness_order(g_all: list[np.ndarray], lo: float = 0.2,
     """
     keyed = []
     for j, g in enumerate(g_all):
-        off = g[~np.eye(g.shape[0], dtype=bool)]
-        passes = bool(off.size) and off.min() < lo and off.max() > hi
+        off = _off_diagonal(g)
         spread = float(off.max() - off.min()) if off.size else 0.0
-        keyed.append((not passes, -spread, j))
+        keyed.append((not _informative(off, lo, hi), -spread, j))
     return [j for _, _, j in sorted(keyed)]
 
 
@@ -137,14 +139,20 @@ def kmeans(w: np.ndarray, K: int, seed, restarts: int = 25,
     if K > 1 and np.allclose(x, x[0]):
         raise DegenerateData("all rows identical; cannot split into K > 1 clusters")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    labels = _best_of(x, K, rng, restarts, max_iter, tol)[0] + 1
+    return labels, ss_quantities(x, labels)[2]
+
+
+def _best_of(x: np.ndarray, K: int, rng: np.random.Generator, restarts: int,
+             max_iter: int = 300, tol: float = 1e-6) -> tuple[np.ndarray, float]:
+    """0-based labels and WSS of the best of `restarts` k-means++ fits; a later
+    fit replaces the best only if its WSS is lower by more than 1e-15."""
     best_labels, best_wss = None, np.inf
     for _ in range(restarts):
         labels, wss = _kmeans_once(x, K, rng, max_iter, tol)
         if wss < best_wss - 1e-15:
             best_labels, best_wss = labels, wss
-    labels = best_labels + 1
-    _, _, ratio = ss_quantities(x, labels)
-    return labels, ratio
+    return best_labels, best_wss
 
 
 def ss_quantities(w: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]:
@@ -165,11 +173,7 @@ def ss_quantities(w: np.ndarray, labels: np.ndarray) -> tuple[float, float, floa
 def _wss_for(x: np.ndarray, K: int, rng, restarts: int) -> float:
     if K == 1:
         return float(((x - x.mean(axis=0)) ** 2).sum())
-    best = np.inf
-    for _ in range(restarts):
-        _, wss = _kmeans_once(x, K, rng, 300, 1e-6)
-        best = min(best, wss)
-    return best
+    return _best_of(x, K, rng, restarts)[1]
 
 
 def gap_statistic(w: np.ndarray, K_max: int, B: int = 50, seed=0,
@@ -251,23 +255,16 @@ def summarize_clusters(draws: PosteriorDraws, K_max: int = 8, B: int = 50,
     order = informativeness_order(g_all)
     kstar = select_kstar([g_all[j] for j in order])
     w = build_w(draws, kstar, order=order)
-    factor_order = np.asarray(order[:kstar]) + 1
-    if kstar == 0 or w.shape[1] == 0 or np.allclose(w, w[0]):
-        labels = np.ones(draws.n_cells, dtype=int)
-        bss, tss, ratio = ss_quantities(w if w.size else np.zeros((draws.n_cells, 1)),
-                                        labels)
-        summary = ClusterSummary(g=g_all, kstar=kstar, w=w, gap_k=1, labels=labels,
-                                 ss_psbp=ratio, bss=bss, tss=tss,
-                                 factor_order=factor_order)
-    else:
+    gap_k, labels = 1, np.ones(draws.n_cells, dtype=int)
+    if kstar and not np.allclose(w, w[0]):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
         gap_k = gap_statistic(w, K_max, B=B, seed=rng)
-        labels, ratio = kmeans(w, gap_k, rng, restarts=restarts)
-        bss, tss, _ = ss_quantities(w, labels)
-        summary = ClusterSummary(g=g_all, kstar=kstar, w=w, gap_k=gap_k,
-                                 labels=labels, ss_psbp=ratio, bss=bss, tss=tss,
-                                 factor_order=factor_order)
+        labels = _best_of(w, gap_k, rng, restarts)[0] + 1
+    bss, tss, ratio = ss_quantities(w if w.size else np.zeros((draws.n_cells, 1)),
+                                    labels)
+    pvalues = None
     if ppd_values is not None:
-        summary.trend_pvalues = cluster_trend_pvalues(ppd_values, ppd_times,
-                                                      summary.labels, side=side)
-    return summary
+        pvalues = cluster_trend_pvalues(ppd_values, ppd_times, labels, side=side)
+    return ClusterSummary(g=g_all, kstar=kstar, w=w, gap_k=gap_k, labels=labels,
+                          ss_psbp=ratio, bss=bss, tss=tss, trend_pvalues=pvalues,
+                          factor_order=np.asarray(order[:kstar]) + 1)

@@ -117,7 +117,10 @@ def _texpon_weight(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
     x0 = np.log(fz) + fz * t
     xb = x0 - z + log_ndtr(b)
     xa = x0 + z + log_ndtr(a)
-    qdivp = 4.0 / np.pi * (np.exp(xb) + np.exp(xa))
+    # exp(xb) overflows to inf once |c| reaches about 97; the weight is then 0,
+    # the right limit, so only the warning is silenced
+    with np.errstate(over="ignore"):
+        qdivp = 4.0 / np.pi * (np.exp(xb) + np.exp(xa))
     return 1.0 / (1.0 + qdivp)
 
 

@@ -75,10 +75,6 @@ class StickState:
     def n_sticks(self, j: int) -> int:
         return self.L[j] if self.slice_mode else self.L[j] - 1
 
-    def weights(self, j: int) -> np.ndarray:
-        """(L_j, n_cells) weight matrix for column j under the closing rule."""
-        return stick_weights_matrix(self.alpha[j], closing=not self.slice_mode)
-
 
 def stick_weights(alpha_col: np.ndarray) -> np.ndarray:
     """Weights from one stick vector: length L from L-1 sticks, summing to one.

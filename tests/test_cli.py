@@ -63,6 +63,17 @@ def test_missing_data_file_is_usage_error(tmp_path, capsys):
     assert "MissingRequired" in captured.err
 
 
+@pytest.mark.parametrize("subcommand", ["predict", "cluster", "diagnose"])
+def test_missing_draws_file_is_usage_error(tmp_path, capsys, subcommand):
+    missing = tmp_path / "nope.bin"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"draws = {missing}\nseed = 1\n")
+    rc = main([subcommand, "--config", str(cfg), "--output", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"error: MissingRequired: draws file not found: {missing}"
+            in capsys.readouterr().err)
+
+
 def test_seed_required(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("k = 2\n")

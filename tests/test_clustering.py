@@ -224,3 +224,18 @@ def test_summarize_clusters_pipeline(rng):
     assert len(set(first)) == 1 and len(set(second)) == 1
     assert first[0] != second[0]
     assert summary.ss_psbp > 0.9
+
+
+def test_summarize_clusters_without_informative_factor():
+    # factor 1 puts every cell in one component; factor 2 pairs every two
+    # cells in exactly half the draws; neither spans the informative range
+    pattern = np.array([[1, 1, 1, 1], [1, 2, 1, 2], [1, 1, 2, 2], [1, 2, 2, 1]]).T
+    xi = np.stack([np.ones((4, 4), dtype=int), pattern], axis=1)  # (S, k, N)
+    draws = make_draws(xi=xi)
+    assert np.allclose(cocluster_probability(draws, 2)[~np.eye(4, dtype=bool)], 0.5)
+    summary = summarize_clusters(draws, K_max=3, B=5, seed=2)
+    assert summary.kstar == 0 and summary.gap_k == 1
+    assert summary.w.shape == (4, 0) and summary.factor_order.size == 0
+    assert np.array_equal(summary.labels, np.ones(4, dtype=int))
+    assert summary.ss_psbp == 0.0 and summary.bss == 0.0 and summary.tss == 0.0
+    assert summary.trend_pvalues is None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, truncnorm
@@ -79,6 +81,22 @@ def test_pg_sample_moments(rng):
 def test_pg_sample_negative_c_symmetry(rng):
     x = pg_sample_array(np.ones(20000), np.full(20000, -2.0), rng)
     assert x.mean() == pytest.approx(np.tanh(1.0) / 4.0, rel=0.02)
+
+
+def test_pg_large_c_draws_without_warning(rng):
+    # the exponential-branch weight overflows exp() once |c| reaches about 97;
+    # its limit 0 is right, so the draws must come with no warning
+    n = 20000
+    mixed = np.tile([200.0, -200.0, 96.0, -97.0, 1.5, 0.0, 500.0, -300.0], n // 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = [(c, pg_sample_array(np.ones(n), np.full(n, c), rng))
+                for c in (200.0, -200.0)]
+        x = pg_sample_array(np.ones(mixed.size), mixed, rng)
+    runs += [(c, x[mixed == c]) for c in np.unique(mixed)]
+    for c, draws in runs:
+        se = np.sqrt(float(pg_variance(1, c)) / draws.size)
+        assert abs(draws.mean() - float(pg_mean(1, c))) < 5 * se
 
 
 def test_pg_zero_trials(rng):
