@@ -416,35 +416,40 @@ def _cmd_diagnose(cfg: dict, outdir: str) -> None:
     _write_manifest(outdir, cfg, "diagnose")
 
 
-def _sim1_config(cfg: dict) -> Sim1Config:
-    return Sim1Config(k_true=cfg["k_true"], spatial=cfg["spatial_dep"],
-                      T=cfg["sim_T"], n_future=cfg["n_future"],
-                      sigma2=cfg["sigma2_true"], L_true=cfg["L_true"])
-
-
-def _sim2_config(cfg: dict) -> Sim2Config:
-    return Sim2Config(beta0=cfg["beta0"], beta1=cfg["beta1"], sigma2=cfg["sigma2"],
-                      delta_beta0=cfg["delta_beta0"], delta_beta1=cfg["delta_beta1"],
-                      delta_sigma2=cfg["delta_sigma2"], spatial=cfg["spatial_dep"],
-                      T=cfg["sim_T"])
+def _sim_config(cfg: dict) -> Sim1Config | Sim2Config:
+    """Generator settings of the config's design; a value the generator
+    rejects is a usage error."""
+    try:
+        if cfg["design"] == "sim1":
+            return Sim1Config(k_true=cfg["k_true"], spatial=cfg["spatial_dep"],
+                              T=cfg["sim_T"], n_future=cfg["n_future"],
+                              sigma2=cfg["sigma2_true"], L_true=cfg["L_true"])
+        if cfg["design"] == "sim2":
+            return Sim2Config(beta0=cfg["beta0"], beta1=cfg["beta1"],
+                              sigma2=cfg["sigma2"], delta_beta0=cfg["delta_beta0"],
+                              delta_beta1=cfg["delta_beta1"],
+                              delta_sigma2=cfg["delta_sigma2"],
+                              spatial=cfg["spatial_dep"], T=cfg["sim_T"])
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+    raise TypeError("design must be sim1 or sim2")
 
 
 def _cmd_simulate(cfg: dict, outdir: str) -> None:
+    sim_cfg = _sim_config(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     if cfg["design"] == "sim1":
-        truth = generate_sim1(_sim1_config(cfg), rng)
+        truth = generate_sim1(sim_cfg, rng)
         header = ["time_value", "location_id", "holdout_y"]
         rows = ([format_float(tv), i + 1, format_float(y)]
                 for tv, ys in zip(truth.holdout_times, truth.holdout_y)
                 for i, y in enumerate(ys))
-    elif cfg["design"] == "sim2":
-        truth = generate_sim2(_sim2_config(cfg), rng)
+    else:
+        truth = generate_sim2(sim_cfg, rng)
         header = ["location_id", "true_label", "intercept", "slope"]
         rows = ([i + 1, int(lab), format_float(a), format_float(b)]
                 for i, (lab, a, b) in enumerate(zip(truth.labels, truth.intercepts,
                                                     truth.slopes)))
-    else:
-        raise TypeError("design must be sim1 or sim2")
     data = truth.fit_data
     _atomic_write(os.path.join(outdir, "data.csv"),
                   lambda p: write_observations_csv(p, data))
@@ -463,10 +468,12 @@ def _cmd_experiment(cfg: dict, outdir: str) -> None:
         check_experiment(cfg["design"], models)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    rows = run_experiment(cfg["design"], models, cfg["replicates"], cfg["seed"],
+    design, sim_cfg = cfg["design"], _sim_config(cfg)
+    rows = run_experiment(design, models, cfg["replicates"], cfg["seed"],
                           n_iter=cfg["n_iter"], burn_in=cfg["burn_in"],
                           thin=cfg["thin"], k_fit=cfg["k"],
-                          sim1_cfg=_sim1_config(cfg), sim2_cfg=_sim2_config(cfg))
+                          sim1_cfg=sim_cfg if design == "sim1" else None,
+                          sim2_cfg=sim_cfg if design == "sim2" else None)
     ids = ["design", "replicate", "model"]
     metrics = [key for key in rows[0] if key not in ids]
     _write_csv(os.path.join(outdir, "results.csv"), ids + metrics,

@@ -6,6 +6,14 @@ count k* -> stacked posterior-mean loading-probability matrix w -> k-means
 with the gap statistic for the cluster count -> between/total
 sum-of-squares summaries and per-cluster trend p-values from pointwise
 regressions of the posterior-mean predictive series.
+
+k-means (Lloyd with k-means++ seeding, best of several restarts) runs in
+`_best_of`, which `kmeans`, `gap_statistic` and `summarize_clusters` share.
+The restarts of one (x, K) are seeded one after another, the only rng reads,
+then Lloyd runs for all of them at once on (restarts, K, d) centres; each
+run stops at its own converged iteration, so the labels and WSS are those
+of the fits run one by one.  The gap statistic's reference sets are fitted
+one after another, which keeps memory independent of their number.
 """
 
 from __future__ import annotations
@@ -93,40 +101,86 @@ def informativeness_order(g_all: list[np.ndarray], lo: float = 0.2,
     return [j for _, _, j in sorted(keyed)]
 
 
-def _kmeans_once(x: np.ndarray, K: int, rng: np.random.Generator,
-                 max_iter: int, tol: float) -> tuple[np.ndarray, float]:
-    n = x.shape[0]
-    # k-means++ seeding
-    centers = np.empty((K, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+class _RowDistances(dict):
+    """Squared distances sum((x - x[i])^2) from row i to every row of x, keyed
+    by i and computed the first time seeding draws row i.  One instance
+    serves every seeding of one x, whatever K."""
+
+    def __init__(self, x: np.ndarray):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, i: int) -> np.ndarray:
+        self[i] = d2 = ((self.x - self.x[i]) ** 2).sum(axis=1)
+        return d2
+
+
+def _seed_centres(dist: _RowDistances, K: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ centres (Arthur & Vassilvitskii 2007) of the rows of
+    dist.x: (K, d)."""
+    n = dist.x.shape[0]
+    idx = [int(rng.integers(n))]
+    d2 = dist[idx[0]]
     for c in range(1, K):
         total = d2.sum()
         if total <= 0:
-            centers[c:] = x[rng.integers(n, size=K - c)]
+            idx.extend(rng.integers(n, size=K - c))
             break
-        probs = d2 / total
-        centers[c] = x[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
-    labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
-        dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = dist.argmin(axis=1)
-        new_centers = centers.copy()
-        for c in range(K):
-            members = labels == c
-            if members.any():
-                new_centers[c] = x[members].mean(axis=0)
-            else:  # revive an empty cluster at the farthest point
-                new_centers[c] = x[dist.min(axis=1).argmax()]
-        shift = ((new_centers - centers) ** 2).sum(axis=1).max()
-        centers = new_centers
-        if shift <= tol:
-            break
-    dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = dist.argmin(axis=1)
-    wss = float(dist[np.arange(n), labels].sum())
-    return labels, wss
+        # rng.choice(n, p=d2 / total) without its per-call checks: the same
+        # inverse-CDF draw, one rng.random() read, the same index
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        idx.append(int(cdf.searchsorted(rng.random(), side="right")))
+        d2 = np.minimum(d2, dist[idx[-1]])
+    return dist.x[idx]
+
+
+def _label_means(x: np.ndarray, labels: np.ndarray,
+                 K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Means of the rows of x (n, d) under each run's 0-based labels (R, n),
+    and the member counts: (R, K, d) and (R, K); an empty label's mean is 0.
+
+    One bincount over the bins (run*K + label)*d + column, fed in row order,
+    adds each label's rows in the order x[labels == c].mean(axis=0) adds
+    them, so every mean carries the same bits.  (With a single column numpy
+    sums the contiguous column pairwise instead, so a label of 8 or more
+    rows can differ from it in the last bit.)
+    """
+    R, n = labels.shape
+    d = x.shape[1]
+    groups = np.arange(R)[:, None] * K + labels
+    bins = np.arange(R * K * d).reshape(R * K, d).take(groups, axis=0)
+    sums = np.bincount(bins.ravel(), weights=np.broadcast_to(x, (R, n, d)).ravel(),
+                       minlength=R * K * d).reshape(R, K, d)
+    counts = np.bincount(groups.ravel(), minlength=R * K).reshape(R, K)
+    return sums / np.maximum(counts, 1)[..., None], counts
+
+
+def _sq_dist(x: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Squared distances sum((x - c)^2) of rows x (m, d) to centres (K, d),
+    or row i to its own centres[i] (m, K, d): (m, K)."""
+    return ((x[:, None, :] - centres) ** 2).sum(axis=2)
+
+
+def _nearest(x: np.ndarray, xx_max: float, centres: np.ndarray) -> np.ndarray:
+    """0-based nearest-centre label of every row for each run: (R, n).
+
+    Rows are ranked on |c|^2 - 2 x.c (the squared distance less the row's
+    own |x|^2), with one BLAS product.  Where a row's nearest two centres lie
+    within that formula's rounding bound of each other, the row is decided
+    on the direct sum((x - c)^2) instead, so every label, ties included, is
+    the direct distances' argmin.  `xx_max` is the largest row |x|^2.
+    """
+    R, K, d = centres.shape
+    cc = (centres ** 2).sum(axis=2)
+    dist = cc[..., None] - 2.0 * (centres.reshape(R * K, d) @ x.T).reshape(R, K, -1)
+    labels = dist.argmin(axis=1)                               # dist: (R, K, n)
+    bound = 4.0 * (d + 4) * np.finfo(float).eps * (xx_max + cc.max())
+    close = (dist <= dist.min(axis=1)[:, None, :] + bound).sum(axis=1) > 1
+    if close.any():
+        runs, rows = np.nonzero(close)
+        labels[runs, rows] = _sq_dist(x[rows], centres[runs]).argmin(axis=1)
+    return labels
 
 
 def kmeans(w: np.ndarray, K: int, seed, restarts: int = 25,
@@ -144,36 +198,69 @@ def kmeans(w: np.ndarray, K: int, seed, restarts: int = 25,
 
 
 def _best_of(x: np.ndarray, K: int, rng: np.random.Generator, restarts: int,
-             max_iter: int = 300, tol: float = 1e-6) -> tuple[np.ndarray, float]:
+             max_iter: int = 300, tol: float = 1e-6,
+             dist: _RowDistances | None = None) -> tuple[np.ndarray, float]:
     """0-based labels and WSS of the best of `restarts` k-means++ fits; a later
-    fit replaces the best only if its WSS is lower by more than 1e-15."""
-    best_labels, best_wss = None, np.inf
-    for _ in range(restarts):
-        labels, wss = _kmeans_once(x, K, rng, max_iter, tol)
-        if wss < best_wss - 1e-15:
-            best_labels, best_wss = labels, wss
-    return best_labels, best_wss
+    fit replaces the best only if its WSS is lower by more than 1e-15.
+
+    The restarts are seeded one after another (the only rng reads), then
+    Lloyd runs for all of them at once on (R, K, d) centres.  A run leaves
+    the batch at its own iteration with shift <= tol, and an empty cluster
+    is revived at that run's farthest point, so each run's centres and
+    labels are those of a fit on its own.  `dist` carries x's seeding
+    distances over from earlier calls on the same x.
+    """
+    dist = _RowDistances(x) if dist is None else dist
+    centres = np.stack([_seed_centres(dist, K, rng) for _ in range(restarts)])
+    xx_max = float((x ** 2).sum(axis=1).max())
+    means_of = np.full((restarts, x.shape[0]), -1)  # labels the centres average
+    active = np.arange(restarts)
+    for _ in range(max_iter):
+        labels = _nearest(x, xx_max, centres[active])
+        # a run whose labels repeat already sits at their means: shift 0
+        moved = (labels != means_of[active]).any(axis=1)
+        active, labels = active[moved], labels[moved]
+        if not active.size:
+            break
+        old = centres[active]
+        means_of[active] = labels
+        new, counts = _label_means(x, labels, K)
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
+            far = _sq_dist(x, old[a]).min(axis=1).argmax()
+            new[a, counts[a] == 0] = x[far]
+            means_of[active[a]] = -1
+        centres[active] = new
+        active = active[((new - old) ** 2).sum(axis=2).max(axis=1) > tol]
+        if not active.size:
+            break
+    labels = _nearest(x, xx_max, centres)
+    sq = centres[np.arange(restarts)[:, None], labels]           # (R, n, d)
+    sq -= x      # (c - x)^2 is (x - c)^2 to the bit; in place keeps one copy
+    sq *= sq
+    wss = sq.sum(axis=2).sum(axis=1)
+    best = 0
+    for r in range(1, restarts):
+        if wss[r] < wss[best] - 1e-15:
+            best = r
+    return labels[best], float(wss[best])
 
 
 def ss_quantities(w: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]:
     """Between and total sums of squares of the rows under the labeling."""
     x = np.asarray(w, dtype=float)
-    labels = np.asarray(labels)
+    uniq, inverse = np.unique(labels, return_inverse=True)
     grand = x.mean(axis=0)
     tss = float(((x - grand) ** 2).sum())
-    fitted = np.empty_like(x)
-    for lab in np.unique(labels):
-        members = labels == lab
-        fitted[members] = x[members].mean(axis=0)
-    bss = float(((fitted - grand) ** 2).sum())
+    means = _label_means(x, inverse.reshape(1, -1), uniq.size)[0][0]
+    bss = float(((means[inverse] - grand) ** 2).sum())
     ratio = 0.0 if tss == 0 else bss / tss
     return bss, tss, ratio
 
 
-def _wss_for(x: np.ndarray, K: int, rng, restarts: int) -> float:
+def _wss_for(x: np.ndarray, K: int, rng, restarts: int, dist: _RowDistances) -> float:
     if K == 1:
         return float(((x - x.mean(axis=0)) ** 2).sum())
-    return _best_of(x, K, rng, restarts)[1]
+    return _best_of(x, K, rng, restarts, dist=dist)[1]
 
 
 def gap_statistic(w: np.ndarray, K_max: int, B: int = 50, seed=0,
@@ -193,9 +280,11 @@ def gap_statistic(w: np.ndarray, K_max: int, B: int = 50, seed=0,
     refs = [lo + span * rng.uniform(size=x.shape) for _ in range(B)]
     eps = 1e-300
     for b, ref in enumerate(refs):
+        dist = _RowDistances(ref)
         for K in range(1, K_max + 1):
-            ref_logw[b, K - 1] = np.log(_wss_for(ref, K, rng, restarts) + eps)
-    logw = np.array([np.log(_wss_for(x, K, rng, restarts) + eps)
+            ref_logw[b, K - 1] = np.log(_wss_for(ref, K, rng, restarts, dist) + eps)
+    dist = _RowDistances(x)
+    logw = np.array([np.log(_wss_for(x, K, rng, restarts, dist) + eps)
                      for K in range(1, K_max + 1)])
     gap = ref_logw.mean(axis=0) - logw
     sd = ref_logw.std(axis=0)

@@ -220,10 +220,16 @@ def pg_mean(b, c):
 
 
 def pg_variance(b, c):
-    """V[PG(b, c)] = b*(sinh(c) - c) / (4 c^3 cosh^2(c/2)), limit b/24 at c = 0."""
+    """V[PG(b, c)] = b*(sinh(c) - c) / (4 c^3 cosh^2(c/2)), limit b/24 at c = 0.
+
+    Evaluated as b*(2 tanh(c/2) - c sech^2(c/2)) / (4 c^3) with
+    sech^2(c/2) = 4 e^-|c| / (1 + e^-|c|)^2, so nothing overflows at large |c|
+    (where the variance tends to b / (2 |c|^3)).
+    """
     c = np.asarray(c, dtype=float)
+    e = np.exp(-np.abs(c))
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = b * (np.sinh(c) - c) / (4.0 * c ** 3 * np.cosh(c / 2.0) ** 2)
+        val = b * (2.0 * np.tanh(c / 2.0) - 4.0 * c * e / (1.0 + e) ** 2) / (4.0 * c ** 3)
     return np.where(c == 0, b / 24.0, val)
 
 

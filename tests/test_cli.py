@@ -170,6 +170,26 @@ def test_experiment_unknown_model_exit_2(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "experiment"])
+def test_bad_simulation_setting_exit_2(tmp_path, capsys, subcommand):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("design = sim1\nk_true = 0\nmodels = M1\nreplicates = 1\nseed = 3\n")
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", str(cfg), "--output", str(out)]) == 2
+    assert "error: ValidationError: k_true must be positive" in capsys.readouterr().err
+    assert not (out / "data.csv").exists() and not (out / "results.csv").exists()
+
+
+def test_experiment_builds_only_its_design_config(tmp_path):
+    # sim2 never reads k_true, so a value only sim1 rejects must not stop it
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("design = sim2\nk_true = 0\nmodels = M1\nreplicates = 1\nk = 2\n"
+                   "sim_T = 5\nn_iter = 40\nburn_in = 10\nseed = 3\n")
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(cfg), "--output", str(out)]) == 0
+    assert len((out / "results.csv").read_text().splitlines()) == 2
+
+
 def test_env_override_applies_to_cli(tmp_path, monkeypatch):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("design = sim1\nk_true = 1\nsim_T = 4\nseed = 5\n")

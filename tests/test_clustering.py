@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import t as student_t
 
 from spfactor.clustering import (
+    _best_of,
+    _RowDistances,
     build_w,
     cluster_trend_pvalues,
     cocluster_probability,
@@ -127,6 +131,109 @@ def test_kmeans_deterministic_and_monotone():
     assert np.array_equal(l1, l2) and r1 == r2
     ratios = [kmeans(x, K, seed=5)[1] for K in range(1, 8)]
     assert all(b >= a - 1e-9 for a, b in zip(ratios, ratios[1:]))
+
+
+def _reference_best_of(x, K, rng, restarts, hits, max_iter=300, tol=1e-6):
+    """One k-means++ fit after another, each with its own Lloyd loop and a
+    Python loop over clusters: the per-restart form the batched `_best_of`
+    must reproduce bit for bit.  `hits` counts the seeding fallback and the
+    empty-cluster revivals."""
+    n = x.shape[0]
+    best_labels, best_wss = None, np.inf
+    for _ in range(restarts):
+        centers = np.empty((K, x.shape[1]))
+        centers[0] = x[rng.integers(n)]
+        d2 = ((x - centers[0]) ** 2).sum(axis=1)
+        for c in range(1, K):
+            total = d2.sum()
+            if total <= 0:
+                hits["fallback"] += 1
+                centers[c:] = x[rng.integers(n, size=K - c)]
+                break
+            centers[c] = x[rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
+        for _ in range(max_iter):
+            dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            labels = dist.argmin(axis=1)
+            new_centers = centers.copy()
+            for c in range(K):
+                members = labels == c
+                if members.any():
+                    new_centers[c] = x[members].mean(axis=0)
+                else:
+                    hits["revival"] += 1
+                    new_centers[c] = x[dist.min(axis=1).argmax()]
+            shift = ((new_centers - centers) ** 2).sum(axis=1).max()
+            centers = new_centers
+            if shift <= tol:
+                break
+        dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = dist.argmin(axis=1)
+        wss = float(dist[np.arange(n), labels].sum())
+        if wss < best_wss - 1e-15:
+            best_labels, best_wss = labels, wss
+    return best_labels, best_wss
+
+
+def test_batched_best_of_matches_per_restart_loop_bit_for_bit():
+    # At least two columns: numpy sums a single contiguous column pairwise
+    # rather than row by row, so one-column means may differ in the last bit.
+    hits = {"fallback": 0, "revival": 0}
+    for case in range(120):
+        r = np.random.default_rng(case)
+        n, d = int(r.integers(6, 40)), int(r.integers(2, 7))
+        x = r.uniform(size=(n, d))
+        if case % 3 == 0:   # duplicated rows: seeding runs out of distance mass
+            x = x[r.integers(0, int(r.integers(2, 5)), size=n)]
+        Ks = [int(r.integers(n - 3, n + 1) if case % 2 else r.integers(1, min(n, 8) + 1)),
+              int(r.integers(1, n + 1))]
+        restarts = int(r.integers(1, 12))
+        ref_rng, rng = np.random.default_rng([case, 1]), np.random.default_rng([case, 1])
+        dist = _RowDistances(x)  # shared across K, as gap_statistic shares it
+        for K in Ks:
+            # duplicated rows with K near n revive clusters until the iteration
+            # cap; a low cap keeps those cases quick and still exercises it
+            want = _reference_best_of(x, K, ref_rng, restarts, hits, max_iter=40)
+            got = _best_of(x, K, rng, restarts, max_iter=40, dist=dist)
+            assert np.array_equal(got[0], want[0]), (case, K)
+            assert got[1] == want[1], (case, K)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (case, K)
+            grand = x.mean(axis=0)
+            fitted = np.empty_like(x)
+            for lab in np.unique(want[0]):
+                fitted[want[0] == lab] = x[want[0] == lab].mean(axis=0)
+            bss = float(((fitted - grand) ** 2).sum())
+            assert ss_quantities(x, got[0] + 1)[0] == bss, (case, K)
+    assert hits["fallback"] > 0 and hits["revival"] > 0, hits
+
+
+def test_inverse_cdf_draw_matches_rng_choice():
+    # the k-means++ draw in clustering._seed_centres
+    for case in range(300):
+        r = np.random.default_rng(case)
+        d2 = r.exponential(size=int(r.integers(2, 60))) * (r.uniform(size=1) < 0.9)
+        d2[r.integers(d2.size)] += 1.0       # some mass even when the rest is 0
+        p = d2 / d2.sum()
+        a, b = np.random.default_rng([case, 2]), np.random.default_rng([case, 2])
+        want = a.choice(d2.size, p=p)
+        cdf = (d2 / d2.sum()).cumsum()
+        cdf /= cdf[-1]
+        assert cdf.searchsorted(b.random(), side="right") == want
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_gap_statistic_memory_stays_flat_in_reference_count():
+    # Batching over the reference sets as well as the restarts would peak at
+    # tens of MB here; batching only the restarts stays near the inputs.
+    w = np.random.default_rng(0).dirichlet(np.ones(53), size=52)
+    gap_statistic(w, 8, B=2, seed=1)
+    tracemalloc.start()
+    try:
+        gap_statistic(w, 8, B=50, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
 
 
 def test_ss_quantities():

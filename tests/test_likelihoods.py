@@ -99,6 +99,25 @@ def test_pg_large_c_draws_without_warning(rng):
         assert abs(draws.mean() - float(pg_mean(1, c))) < 5 * se
 
 
+def test_pg_variance_large_c_finite_without_warning():
+    # the variance tends to b / (2 |c|^3); sinh(c) and cosh(c/2)^2 overflow
+    # from |c| ~ 700, so the formula must not evaluate them directly
+    for b in (1.0, 3.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pg_variance(b, np.array([700.0, -700.0, 1e4, -1e4]))
+        assert np.all(np.isfinite(got))
+        c = np.array([700.0, 700.0, 1e4, 1e4])
+        assert np.allclose(got, b / (2.0 * c ** 3), rtol=1e-2, atol=0.0)
+
+
+def test_pg_variance_matches_sinh_cosh_form():
+    c = np.concatenate([np.geomspace(0.05, 20.0, 200), -np.geomspace(0.05, 20.0, 200)])
+    direct = 2.0 * (np.sinh(c) - c) / (4.0 * c ** 3 * np.cosh(c / 2.0) ** 2)
+    assert np.allclose(pg_variance(2.0, c), direct, rtol=1e-12, atol=0.0)
+    assert pg_variance(2.0, 0.0) == 2.0 / 24.0
+
+
 def test_pg_zero_trials(rng):
     x = pg_sample_array(np.zeros(5), np.ones(5), rng)
     assert np.array_equal(x, np.zeros(5))
