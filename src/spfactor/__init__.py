@@ -10,14 +10,19 @@ from .kernels import (
     spatial_correlation,
     temporal_correlation,
 )
-from .likelihoods import LikelihoodSpec, linear_predictor, log_likelihood, pg_sample
+from .likelihoods import (
+    LikelihoodSpec,
+    draw_observations,
+    linear_predictor,
+    log_density,
+    pg_sample,
+)
 from .psbp import (
     MgpState,
     StickState,
     beta_moment_1,
     beta_moment_2,
     marginal_y_covariance,
-    mgp_precisions,
     psbp_process_variance,
     stick_weights,
 )

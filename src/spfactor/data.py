@@ -142,19 +142,6 @@ class ObservationSet:
 
     # -- stacking ------------------------------------------------------------
 
-    def stack(self, t: int) -> np.ndarray:
-        """Stacked observation vector at 1-based visit t, length m*O."""
-        if not 1 <= t <= self.T:
-            raise IndexOutOfRange(f"visit index {t} outside 1..{self.T}")
-        return self.y[t - 1].reshape(self.n_cells).copy()
-
-    def unstack(self, v: np.ndarray) -> np.ndarray:
-        """Inverse of stack: length-mO vector back to an (O, m) grid."""
-        v = np.asarray(v)
-        if v.shape != (self.n_cells,):
-            raise DimensionMismatch(f"expected length {self.n_cells}, got {v.shape}")
-        return v.reshape(self.O, self.m)
-
     def stacked_y(self) -> np.ndarray:
         """All visits stacked: shape (T, mO)."""
         return self.y.reshape(self.T, self.n_cells)

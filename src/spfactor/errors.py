@@ -80,10 +80,6 @@ class NonPositiveVariance(ValidationError):
     pass
 
 
-class NonPositiveOmega(ValidationError):
-    pass
-
-
 class NonPositiveScale(NumericalError):
     pass
 

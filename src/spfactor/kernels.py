@@ -78,8 +78,10 @@ def _check_spd(mat: np.ndarray, err: type[Exception],
     return jittered, factor
 
 
-def spatial_correlation(spec: SpatialKernelSpec, structure: SpatialStructure) -> np.ndarray:
-    """Build the m x m spatial correlation matrix F(rho)."""
+def spatial_correlation(spec: SpatialKernelSpec,
+                        structure: SpatialStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Build the m x m spatial correlation matrix F(rho); returns (F, its lower
+    Cholesky factor)."""
     if spec.kind == "car":
         if structure.kind != "areal":
             raise KindMismatch("car kernel needs areal structure")
@@ -88,15 +90,17 @@ def spatial_correlation(spec: SpatialKernelSpec, structure: SpatialStructure) ->
         _, factor = _check_spd(Dw - spec.rho * W, SingularPrecision,
                                "CAR precision D_w - rho*W")
         F = sla.cho_solve((factor, True), np.eye(W.shape[0]))
-        return _check_spd(0.5 * (F + F.T), SingularPrecision, "CAR correlation")[0]
+        return _check_spd(0.5 * (F + F.T), SingularPrecision, "CAR correlation")
     if structure.kind != "point":
         raise KindMismatch("exponential-gp kernel needs point structure")
     F = np.exp(-spec.rho * structure.distances)
-    return _check_spd(F, NonPositiveDefinite, "exponential spatial correlation")[0]
+    return _check_spd(F, NonPositiveDefinite, "exponential spatial correlation")
 
 
-def temporal_correlation(spec: TemporalKernelSpec, times: np.ndarray) -> np.ndarray:
-    """Build the T x T temporal correlation matrix H(psi)."""
+def temporal_correlation(spec: TemporalKernelSpec,
+                         times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Build the T x T temporal correlation matrix H(psi); returns (H, its lower
+    Cholesky factor)."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a vector")
@@ -118,7 +122,7 @@ def temporal_correlation(spec: TemporalKernelSpec, times: np.ndarray) -> np.ndar
         if off.size and off.max() >= 1.0:
             raise NonPositiveDefinite(
                 "degenerate temporal correlation: unit off-diagonal entries")
-    return _check_spd(H, NonPositiveDefinite, "temporal correlation H(psi)")[0]
+    return _check_spd(H, NonPositiveDefinite, "temporal correlation H(psi)")
 
 
 def psi_bounds(times: np.ndarray) -> tuple[float, float]:

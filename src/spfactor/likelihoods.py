@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtri_exp
 
-from .errors import (
-    DimensionMismatch,
-    NonPositiveOmega,
-    NonPositiveVariance,
-)
+from .errors import NonPositiveVariance
 
 
 @dataclass(frozen=True)
@@ -30,66 +26,45 @@ class LikelihoodSpec:
         if self.family not in ("gaussian", "binomial"):
             raise ValueError(f"unknown likelihood family {self.family!r}")
 
-    @property
-    def link(self) -> str:
-        return "identity" if self.family == "gaussian" else "logit"
+
+# -- the observation model ------------------------------------------------------
+#
+# `nuisance` is the Gaussian variance sigma2, which broadcasts against theta
+# (pass a per-cell vector as sigma2[None, :]), or the binomial trials n.
 
 
-def linear_predictor(beta: np.ndarray, loadings: np.ndarray, eta_t: np.ndarray,
-                     X_t: np.ndarray) -> np.ndarray:
-    """theta_t = X_t beta + Lambda eta_t over the stacked cells."""
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    loadings = np.asarray(loadings, dtype=float)
-    eta_t = np.atleast_1d(np.asarray(eta_t, dtype=float))
-    X_t = np.asarray(X_t, dtype=float)
-    n_cells = loadings.shape[0]
-    if X_t.shape != (n_cells, beta.size):
-        raise DimensionMismatch(f"X_t must be ({n_cells}, {beta.size}), got {X_t.shape}")
-    if loadings.shape[1] != eta_t.size:
-        raise DimensionMismatch("loadings columns must match eta length")
-    out = loadings @ eta_t
-    if beta.size:
-        out = out + X_t @ beta
-    return out
+def linear_predictor(X: np.ndarray, beta: np.ndarray, eta: np.ndarray,
+                     lam: np.ndarray) -> np.ndarray:
+    """theta = X beta + eta Lambda^T for all visits at once.
 
-
-def log_likelihood(spec: LikelihoodSpec, y, theta_t, nuisance) -> float:
-    """Sum of observation log densities at the linear predictor theta_t.
-
-    Gaussian: nuisance is the variance sigma2 (scalar or per-cell).
-    Binomial: nuisance is the trials n; the binomial coefficient is included
-    so the values are proper log predictive densities.
+    X is (T, N, p), beta (p,), eta (T, k) and lam (N, k); the result is
+    (T, N).  With p = 0 the first term is zero.
     """
-    y = np.asarray(y, dtype=float)
-    theta_t = np.asarray(theta_t, dtype=float)
-    if spec.family == "gaussian":
-        sigma2 = np.broadcast_to(np.asarray(nuisance, dtype=float), y.shape)
-        if np.any(sigma2 <= 0):
+    return X @ beta + eta @ lam.T
+
+
+def log_density(family: str, y, theta, nuisance) -> np.ndarray:
+    """Elementwise observation log density at the linear predictor theta.
+
+    The binomial coefficient is included, so the values are proper log
+    predictive densities.
+    """
+    if family == "gaussian":
+        if np.any(nuisance <= 0):
             raise NonPositiveVariance("gaussian variance must be positive")
-        return float(np.sum(-0.5 * np.log(2.0 * np.pi * sigma2)
-                            - 0.5 * (y - theta_t) ** 2 / sigma2))
-    n = np.broadcast_to(np.asarray(nuisance, dtype=float), y.shape)
-    return float(np.sum(binomial_log_pmf(y, n, theta_t)))
+        return -0.5 * np.log(2.0 * np.pi * nuisance) - 0.5 * (y - theta) ** 2 / nuisance
+    coef = gammaln(nuisance + 1) - gammaln(y + 1) - gammaln(nuisance - y + 1)
+    return coef + theta * y - nuisance * np.logaddexp(0.0, theta)
 
 
-def binomial_log_pmf(y, n, theta) -> np.ndarray:
-    """Elementwise log Binomial(n, expit(theta)) pmf at y."""
-    y = np.asarray(y, dtype=float)
-    n = np.asarray(n, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    coef = gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)
-    return coef + theta * y - n * np.logaddexp(0.0, theta)
-
-
-def pg_transform(y, n, omega) -> tuple[np.ndarray, np.ndarray]:
-    """chi = y - n/2 and working response ystar = chi / omega."""
-    y = np.asarray(y, dtype=float)
-    n = np.asarray(n, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise NonPositiveOmega("omega must be positive")
-    chi = y - n / 2.0
-    return chi, chi / omega
+def draw_observations(family: str, theta: np.ndarray, nuisance,
+                      rng: np.random.Generator):
+    """One observation per entry of theta: (values, probs), where probs are
+    the binomial success probabilities and None for Gaussian data."""
+    if family == "gaussian":
+        return theta + rng.standard_normal(theta.shape) * np.sqrt(nuisance), None
+    probs = 1.0 / (1.0 + np.exp(-theta))
+    return rng.binomial(nuisance.astype(int), probs).astype(float), probs
 
 
 # -- Polya-Gamma sampling ---------------------------------------------------
@@ -224,13 +199,17 @@ def pg_variance(b, c):
 
     Evaluated as b*(2 tanh(c/2) - c sech^2(c/2)) / (4 c^3) with
     sech^2(c/2) = 4 e^-|c| / (1 + e^-|c|)^2, so nothing overflows at large |c|
-    (where the variance tends to b / (2 |c|^3)).
+    (where the variance tends to b / (2 |c|^3)).  That difference cancels as
+    c -> 0, so below |c| = 0.1 the Taylor series in c^2 is used instead.
     """
     c = np.asarray(c, dtype=float)
     e = np.exp(-np.abs(c))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        c2 = c * c
         val = b * (2.0 * np.tanh(c / 2.0) - 4.0 * c * e / (1.0 + e) ** 2) / (4.0 * c ** 3)
-    return np.where(c == 0, b / 24.0, val)
+        series = b * (1.0 / 24.0 + c2 * (-1.0 / 120.0 + c2 * (17.0 / 13440.0 + c2 * (
+            -31.0 / 181440.0 + c2 * (691.0 / 31933440.0)))))
+    return np.where(np.abs(c) < 0.1, series, val)
 
 
 # -- truncated-normal helper used by the stick augmentation -------------------

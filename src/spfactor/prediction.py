@@ -16,6 +16,7 @@ import scipy.linalg as sla
 
 from .errors import DimensionMismatch, NonPositiveDefinite
 from .kernels import TemporalKernelSpec, temporal_correlation
+from .likelihoods import draw_observations, linear_predictor
 from .storage import PosteriorDraws
 
 
@@ -57,7 +58,7 @@ def _conditional_temporal_parts(eta: np.ndarray, psi: float, kernel_kind: str,
     if np.any(new_times <= times[-1]):
         raise ValueError("new times must be strictly after the last visit")
     allt = np.concatenate([times, new_times])
-    H = temporal_correlation(TemporalKernelSpec(kernel_kind, psi), allt)
+    H = temporal_correlation(TemporalKernelSpec(kernel_kind, psi), allt)[0]
     T = times.size
     H_oo = H[:T, :T]
     H_no = H[T:, :T]
@@ -122,14 +123,10 @@ def ppd_sample(request: PPDRequest, seed: int = 0):
         cho_t = np.linalg.cholesky(H_star + jitter)
         cho_u = np.linalg.cholesky(draws.upsilon[s])
         eta_new = mean + cho_t @ rng.standard_normal((Q, draws.k)) @ cho_u.T
-        theta = eta_new @ draws.lam[s].T            # (Q, N)
-        if draws.p:
-            theta = theta + request.new_covariates @ draws.beta[s]
-        if draws.family == "gaussian":
-            noise = rng.standard_normal((Q, N)) * np.sqrt(draws.sigma2[s])[None, :]
-            values[s] = theta + noise
-        else:
-            pi = 1.0 / (1.0 + np.exp(-theta))
+        theta = linear_predictor(request.new_covariates, draws.beta[s], eta_new,
+                                 draws.lam[s])
+        nuisance = draws.sigma2[s][None, :] if probs is None else trials
+        values[s], pi = draw_observations(draws.family, theta, nuisance, rng)
+        if probs is not None:
             probs[s] = pi
-            values[s] = rng.binomial(trials.astype(int), pi)
     return values, probs

@@ -34,14 +34,10 @@ class MgpState:
             raise ValueError("delta entries must be positive")
 
     def precisions(self) -> np.ndarray:
-        return mgp_precisions(self)
-
-
-def mgp_precisions(mgp: MgpState) -> np.ndarray:
-    """Column precisions tau_1..tau_k; cumulative products in multiplicative mode."""
-    if mgp.multiplicative:
-        return np.cumprod(mgp.delta)
-    return mgp.delta.copy()
+        """Column precisions tau_1..tau_k; cumulative products in multiplicative mode."""
+        if self.multiplicative:
+            return np.cumprod(self.delta)
+        return self.delta.copy()
 
 
 @dataclass

@@ -32,7 +32,9 @@ from .kernels import (
 )
 from .likelihoods import (
     LikelihoodSpec,
-    binomial_log_pmf,
+    draw_observations,
+    linear_predictor,
+    log_density,
     pg_sample_array,
     truncated_normal,
 )
@@ -200,8 +202,7 @@ class GibbsSampler:
         if self.spec.spatial_loadings:
             skind = self.spec.spatial_kernel
             struct = self.data.spatial
-            factor = np.linalg.cholesky(
-                spatial_correlation(SpatialKernelSpec(skind, rho), struct))
+            _, factor = spatial_correlation(SpatialKernelSpec(skind, rho), struct)
             if skind == "car":
                 prec = np.diag(struct.neighbour_counts) - rho * struct.adjacency
             else:
@@ -218,8 +219,8 @@ class GibbsSampler:
         cached = self._cache["psi"]
         if cached is not None and cached[0] == psi:
             return cached[1:]
-        chol_H = np.linalg.cholesky(temporal_correlation(
-            TemporalKernelSpec(self.spec.temporal_kernel, psi), self.times))
+        _, chol_H = temporal_correlation(
+            TemporalKernelSpec(self.spec.temporal_kernel, psi), self.times)
         H_inv = sla.cho_solve((chol_H, True), np.eye(self.T))
         logdet_H = 2.0 * float(np.sum(np.log(np.diag(chol_H))))
         self._cache["psi"] = (psi, chol_H, H_inv, logdet_H)
@@ -237,12 +238,6 @@ class GibbsSampler:
         with np.errstate(divide="ignore", invalid="ignore"):
             ystar = np.where(omega > 0, chi / np.where(omega > 0, omega, 1.0), 0.0)
         return ystar, np.where(omega > 0, omega, 0.0)
-
-    def predictor_offset(self, state: ChainState) -> np.ndarray:
-        """X_t beta for all t, shape (T, N)."""
-        if self.p == 0:
-            return np.zeros((self.T, self.N))
-        return self.X @ state.beta
 
     # -- initialization ------------------------------------------------------
 
@@ -393,7 +388,7 @@ class GibbsSampler:
     # -- individual updates ---------------------------------------------------
 
     def update_polya_gamma(self, state: ChainState, rng) -> None:
-        theta = self.predictor_offset(state) + state.eta @ state.lam.T
+        theta = linear_predictor(self.X, state.beta, state.eta, state.lam)
         state.omega = pg_sample_array(self.trials, theta, rng)
 
     def update_factors(self, state: ChainState, rng) -> None:
@@ -403,7 +398,7 @@ class GibbsSampler:
         U_inv = np.linalg.inv(state.upsilon)
         P = np.kron(H_inv, U_inv)
         b = np.empty(self.T * k)
-        r = yw - self.predictor_offset(state)
+        r = yw - self.X @ state.beta
         for t in range(self.T):
             wl = prec[t][:, None] * state.lam
             P[t * k:(t + 1) * k, t * k:(t + 1) * k] += state.lam.T @ wl
@@ -430,9 +425,10 @@ class GibbsSampler:
         state.beta = mu + sla.solve_triangular(cho[0].T, rng.standard_normal(self.p),
                                                lower=False)
 
-    def _column_stats(self, state, yw, prec, offset, j):
+    def _column_stats(self, state, yw, prec, j):
         """Per-cell linear and quadratic likelihood terms for loading column j."""
-        r = yw - offset - state.eta @ state.lam.T + np.outer(state.eta[:, j], state.lam[:, j])
+        theta = linear_predictor(self.X, state.beta, state.eta, state.lam)
+        r = yw - theta + np.outer(state.eta[:, j], state.lam[:, j])
         A = ((prec * r) * state.eta[:, j][:, None]).sum(axis=0)
         B = (prec * (state.eta[:, j] ** 2)[:, None]).sum(axis=0)
         return A, B
@@ -455,11 +451,10 @@ class GibbsSampler:
         stick = state.stick
         tau = state.mgp.precisions()
         yw, prec = self.working(state)
-        offset = self.predictor_offset(state)
         cho_P = self._alpha_posterior_cho(state)
         cells = np.arange(self.N)
         for j in range(spec.k):
-            A, B = self._column_stats(state, yw, prec, offset, j)
+            A, B = self._column_stats(state, yw, prec, j)
             alpha_j, theta_j = stick.alpha[j], stick.theta[j]
             if spec.slice_mode:
                 w = stick_weights_matrix(alpha_j, closing=False)
@@ -512,12 +507,11 @@ class GibbsSampler:
     def _update_gaussian_loadings(self, state: ChainState, rng) -> None:
         tau = state.mgp.precisions()
         yw, prec = self.working(state)
-        offset = self.predictor_offset(state)
         F_prec, _, _ = self.spatial_ops(state.rho)
         kinv = np.linalg.inv(state.kappa)
         K_prec = np.kron(kinv, F_prec)
         for j in range(self.spec.k):
-            A, B = self._column_stats(state, yw, prec, offset, j)
+            A, B = self._column_stats(state, yw, prec, j)
             P = tau[j] * K_prec + np.diag(B)
             cho = sla.cho_factor(P, lower=True)
             mu = sla.cho_solve(cho, A)
@@ -527,7 +521,7 @@ class GibbsSampler:
     def update_variance_components(self, state: ChainState, rng) -> None:
         spec = self.spec
         if spec.likelihood.family == "gaussian" and "sigma2" not in spec.fixed:
-            resid = self.y - self.predictor_offset(state) - state.eta @ state.lam.T
+            resid = self.y - linear_predictor(self.X, state.beta, state.eta, state.lam)
             ssq = ((resid ** 2) * self.obs).sum(axis=0)
             cnt = self.obs.sum(axis=0)
             if spec.pool_sigma2:
@@ -681,13 +675,9 @@ class GibbsSampler:
 
     def log_likelihood_cells(self, state: ChainState) -> np.ndarray:
         """Per observed cell log density at the current state, in obs_index order."""
-        theta = self.predictor_offset(state) + state.eta @ state.lam.T
-        if self.spec.likelihood.family == "gaussian":
-            ll = -0.5 * np.log(2.0 * np.pi * state.sigma2)[None, :] \
-                - 0.5 * (self.y - theta) ** 2 / state.sigma2[None, :]
-        else:
-            ll = binomial_log_pmf(self.y, self.trials, theta)
-        return ll[self.obs]
+        theta = linear_predictor(self.X, state.beta, state.eta, state.lam)
+        nuisance = self.trials if state.sigma2 is None else state.sigma2[None, :]
+        return log_density(self.spec.likelihood.family, self.y, theta, nuisance)[self.obs]
 
     def obs_index(self) -> np.ndarray:
         tt, cc = np.nonzero(self.obs)
@@ -696,17 +686,14 @@ class GibbsSampler:
     def regenerate_data(self, state: ChainState, rng: np.random.Generator) -> None:
         """Replace the observed data with a draw from the likelihood at `state`
         (successive-conditional testing)."""
-        theta = self.predictor_offset(state) + state.eta @ state.lam.T
-        if self.spec.likelihood.family == "gaussian":
-            self.y = theta + rng.standard_normal(theta.shape) * np.sqrt(state.sigma2)[None, :]
-            self.y = np.where(self.obs, self.y, 0.0)
-        else:
-            pi = 1.0 / (1.0 + np.exp(-theta))
-            self.y = rng.binomial(self.trials.astype(int), pi).astype(float)
+        theta = linear_predictor(self.X, state.beta, state.eta, state.lam)
+        nuisance = self.trials if state.sigma2 is None else state.sigma2[None, :]
+        y, _ = draw_observations(self.spec.likelihood.family, theta, nuisance, rng)
+        self.y = np.where(self.obs, y, 0.0)
 
     def run(self, n_iter: int, burn_in: int = 0, thin: int = 1, seed: int = 0,
             init: ChainState | None = None, chain_id: int = 0,
-            record_loglik: bool = True, loglik_dir=None) -> PosteriorDraws:
+            loglik_dir=None) -> PosteriorDraws:
         if not (n_iter > burn_in >= 0 and thin >= 1):
             raise ValueError("need n_iter > burn_in >= 0 and thin >= 1")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -715,15 +702,11 @@ class GibbsSampler:
         n_keep = (n_iter - burn_in) // thin
         obs_index = self.obs_index()
         n_obs = obs_index.shape[0]
-        if record_loglik:
-            if n_obs * n_keep > _LOGLIK_MEMMAP_CELLS:
-                with tempfile.TemporaryFile(dir=loglik_dir) as tmp:
-                    loglik = np.memmap(tmp, dtype=float, mode="w+",
-                                       shape=(n_obs, n_keep))
-            else:
-                loglik = np.empty((n_obs, n_keep))
+        if n_obs * n_keep > _LOGLIK_MEMMAP_CELLS:
+            with tempfile.TemporaryFile(dir=loglik_dir) as tmp:
+                loglik = np.memmap(tmp, dtype=float, mode="w+", shape=(n_obs, n_keep))
         else:
-            loglik = np.empty((n_obs, 0))
+            loglik = np.empty((n_obs, n_keep))
 
         keep = _DrawBuffer(self, n_keep, chain_id)
         kept = 0
@@ -732,8 +715,7 @@ class GibbsSampler:
             if it <= burn_in and it % 50 == 0:
                 self.adapt_proposals()
             if it > burn_in and (it - burn_in) % thin == 0:
-                if record_loglik:
-                    loglik[:, kept] = self.log_likelihood_cells(state)
+                loglik[:, kept] = self.log_likelihood_cells(state)
                 keep.add(state, it, kept)
                 kept += 1
         acc = {}
@@ -798,15 +780,13 @@ class _DrawBuffer:
 
 def run_chain(spec: ModelSpec, data: ObservationSet, n_iter: int,
               burn_in: int = 0, thin: int = 1, seed: int = 0,
-              init: ChainState | None = None,
-              record_loglik: bool = True) -> PosteriorDraws:
+              init: ChainState | None = None) -> PosteriorDraws:
     """Run one chain and return the retained draws.
 
     Retains every `thin`-th post-burn-in state and the per-cell log-likelihood
     matrix needed for WAIC.
     """
-    return GibbsSampler(spec, data).run(n_iter, burn_in, thin, seed, init=init,
-                                        record_loglik=record_loglik)
+    return GibbsSampler(spec, data).run(n_iter, burn_in, thin, seed, init=init)
 
 
 def run_chains(spec: ModelSpec, data: ObservationSet, n_iter: int,

@@ -22,7 +22,7 @@ from .data import ObservationSet, SpatialStructure
 from .diagnostics import crps, waic
 from .clustering import gap_statistic, kmeans, summarize_clusters
 from .kernels import SpatialKernelSpec, spatial_correlation
-from .likelihoods import LikelihoodSpec
+from .likelihoods import LikelihoodSpec, draw_observations
 from .prediction import PPDRequest, ppd_sample
 from .psbp import stick_weights_matrix
 from .sampler import ModelSpec, invwishart_rvs, run_chain
@@ -102,8 +102,7 @@ def generate_sim1(cfg: Sim1Config, rng: np.random.Generator) -> Sim1Truth:
     times_all = np.arange(T_all) * step
 
     if cfg.spatial:
-        F = spatial_correlation(SpatialKernelSpec("car", cfg.rho), structure)
-        chol_F = np.linalg.cholesky(F)
+        chol_F = spatial_correlation(SpatialKernelSpec("car", cfg.rho), structure)[1]
     else:
         chol_F = np.eye(m)
     sd_alpha = np.sqrt(cfg.kappa)
@@ -125,8 +124,7 @@ def generate_sim1(cfg: Sim1Config, rng: np.random.Generator) -> Sim1Truth:
     eta = np.linalg.cholesky(H) @ rng.standard_normal((T_all, cfg.k_true)) \
         @ np.linalg.cholesky(upsilon).T
 
-    mean = eta @ lam.T                                     # (T_all, m)
-    y_all = mean + np.sqrt(cfg.sigma2) * rng.standard_normal((T_all, m))
+    y_all, _ = draw_observations("gaussian", eta @ lam.T, cfg.sigma2, rng)
 
     fit_data = ObservationSet(y=y_all[:cfg.T].reshape(cfg.T, 1, m),
                               times=times_all[:cfg.T],
@@ -170,8 +168,7 @@ def generate_sim2(cfg: Sim2Config, rng: np.random.Generator) -> Sim2Truth:
     labels[region] = 1
 
     if cfg.spatial and cfg.rho > 0:
-        F = spatial_correlation(SpatialKernelSpec("car", cfg.rho), structure)
-        chol_F = np.linalg.cholesky(F)
+        chol_F = spatial_correlation(SpatialKernelSpec("car", cfg.rho), structure)[1]
     else:
         chol_F = np.eye(m)
     chol_k = np.linalg.cholesky(cfg.kappa)
@@ -185,7 +182,7 @@ def generate_sim2(cfg: Sim2Config, rng: np.random.Generator) -> Sim2Truth:
     sig2[region] += cfg.delta_sigma2
     times = np.linspace(0.0, 1.0, cfg.T)
     mean = b0[None, :] + times[:, None] * b1[None, :]
-    y = mean + np.sqrt(sig2)[None, :] * rng.standard_normal((cfg.T, m))
+    y, _ = draw_observations("gaussian", mean, sig2[None, :], rng)
     data = ObservationSet(y=y.reshape(cfg.T, 1, m), times=times, spatial=structure)
     return Sim2Truth(fit_data=data, labels=labels, intercepts=b0, slopes=b1)
 

@@ -14,7 +14,6 @@ from spfactor.data import (
 )
 from spfactor.errors import (
     CountExceedsTrials,
-    IndexOutOfRange,
     IsolatedLocation,
     MissingTrials,
     NonIncreasingTimes,
@@ -71,31 +70,16 @@ def test_stack_examples():
     y[0] = [[1.0, 2.0], [3.0, 4.0]]
     data = ObservationSet(y=np.repeat(y, 2, axis=0), times=np.array([0.0, 1.0]),
                           spatial=sp)
-    assert np.array_equal(data.stack(1), [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(data.stacked_y()[0], [1.0, 2.0, 3.0, 4.0])
 
     one_type = make_set(m=4)
-    assert np.array_equal(one_type.stack(1), one_type.y[0, 0])
+    assert np.array_equal(one_type.stacked_y()[0], one_type.y[0, 0])
 
     # m=1, O=3: a single point location, three observation types
     from conftest import point_line
     y3 = np.array([[[5.0], [6.0], [7.0]], [[0.0], [0.0], [0.0]]])
     data3 = ObservationSet(y=y3, times=np.array([0.0, 1.0]), spatial=point_line(1))
-    assert np.array_equal(data3.stack(1), [5.0, 6.0, 7.0])
-
-
-def test_stack_out_of_range():
-    data = make_set()
-    with pytest.raises(IndexOutOfRange):
-        data.stack(0)
-    with pytest.raises(IndexOutOfRange):
-        data.stack(3)
-
-
-def test_stack_round_trip():
-    data = make_set(T=3, O=2)
-    for t in range(1, 4):
-        v = data.stack(t)
-        assert np.array_equal(data.unstack(v), data.y[t - 1])
+    assert np.array_equal(data3.stacked_y()[0], [5.0, 6.0, 7.0])
 
 
 def test_kronecker_block_convention():

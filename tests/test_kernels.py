@@ -17,17 +17,17 @@ PAIR = SpatialStructure(kind="areal", adjacency=np.array([[0.0, 1.0], [1.0, 0.0]
 
 
 def test_car_two_by_two():
-    F = spatial_correlation(SpatialKernelSpec("car", 0.99), PAIR)
+    F = spatial_correlation(SpatialKernelSpec("car", 0.99), PAIR)[0]
     assert np.allclose(F, [[50.2513, 49.7487], [49.7487, 50.2513]], atol=1e-3)
 
 
 def test_car_rho_zero_is_inverse_degree():
-    F = spatial_correlation(SpatialKernelSpec("car", 0.0), PAIR)
+    F = spatial_correlation(SpatialKernelSpec("car", 0.0), PAIR)[0]
     assert np.allclose(F, np.eye(2))
 
 
 def test_exponential_gp():
-    F = spatial_correlation(SpatialKernelSpec("exponential-gp", 1.0), point_line(2))
+    F = spatial_correlation(SpatialKernelSpec("exponential-gp", 1.0), point_line(2))[0]
     assert np.allclose(F, [[1.0, np.exp(-1.0)], [np.exp(-1.0), 1.0]], atol=1e-5)
 
 
@@ -55,29 +55,30 @@ def test_car_inverse_identity():
     np.fill_diagonal(W, 0.0)
     struct = SpatialStructure(kind="areal", adjacency=W)
     rho = 0.97
-    F = spatial_correlation(SpatialKernelSpec("car", rho), struct)
+    F = spatial_correlation(SpatialKernelSpec("car", rho), struct)[0]
     prec = np.diag(W.sum(axis=1)) - rho * W
     assert np.max(np.abs(F @ prec - np.eye(6))) < 1e-10
 
 
 def test_returned_matrices_are_spd():
-    for F in (spatial_correlation(SpatialKernelSpec("car", 0.99), PAIR),
-              spatial_correlation(SpatialKernelSpec("exponential-gp", 0.3),
-                                  point_line(5)),
-              temporal_correlation(TemporalKernelSpec("ar1", 0.3),
-                                   np.linspace(0, 1, 6)),
-              temporal_correlation(TemporalKernelSpec("exponential", 2.0),
-                                   np.linspace(0, 1, 6))):
-        np.linalg.cholesky(F)
+    # each builder returns the matrix and its lower Cholesky factor
+    for F, factor in (spatial_correlation(SpatialKernelSpec("car", 0.99), PAIR),
+                      spatial_correlation(SpatialKernelSpec("exponential-gp", 0.3),
+                                          point_line(5)),
+                      temporal_correlation(TemporalKernelSpec("ar1", 0.3),
+                                           np.linspace(0, 1, 6)),
+                      temporal_correlation(TemporalKernelSpec("exponential", 2.0),
+                                           np.linspace(0, 1, 6))):
+        assert np.array_equal(factor, np.linalg.cholesky(F))
 
 
 def test_ar1_powers():
-    H = temporal_correlation(TemporalKernelSpec("ar1", 0.3), np.array([0.0, 1.0, 2.0]))
+    H = temporal_correlation(TemporalKernelSpec("ar1", 0.3), np.array([0.0, 1.0, 2.0]))[0]
     assert np.allclose(H, [[1.0, 0.3, 0.09], [0.3, 1.0, 0.3], [0.09, 0.3, 1.0]])
 
 
 def test_ar1_zero_is_identity():
-    H = temporal_correlation(TemporalKernelSpec("ar1", 0.0), np.array([0.0, 1.0, 2.0]))
+    H = temporal_correlation(TemporalKernelSpec("ar1", 0.0), np.array([0.0, 1.0, 2.0]))[0]
     assert np.allclose(H, np.eye(3))
 
 
@@ -94,7 +95,7 @@ def test_exponential_zero_rate_flagged():
 
 def test_ar1_screening_tridiagonal():
     times = np.arange(8, dtype=float)
-    H = temporal_correlation(TemporalKernelSpec("ar1", 0.6), times)
+    H = temporal_correlation(TemporalKernelSpec("ar1", 0.6), times)[0]
     Hinv = np.linalg.inv(H)
     off = np.triu(np.abs(Hinv), 2)
     assert off.max() < 1e-10

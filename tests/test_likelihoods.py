@@ -2,70 +2,134 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, truncnorm
+from scipy.stats import binom, ks_2samp, norm, truncnorm
 
-from spfactor.errors import DimensionMismatch, NonPositiveOmega, NonPositiveVariance
+from spfactor.data import ObservationSet
+from spfactor.errors import NonPositiveVariance
 from spfactor.likelihoods import (
     LikelihoodSpec,
+    draw_observations,
     linear_predictor,
-    log_likelihood,
+    log_density,
     pg_mean,
     pg_sample,
     pg_sample_array,
-    pg_transform,
     pg_variance,
     truncated_normal,
 )
+from spfactor.sampler import GibbsSampler, ModelSpec
+
+from conftest import king_grid
 
 
 def test_linear_predictor_examples():
-    n = 6
-    X = np.ones((n, 1))
-    zero = linear_predictor(np.zeros(1), np.zeros((n, 2)), np.zeros(2), X)
-    assert np.allclose(zero, 0.0)
+    T, n = 2, 6
+    X = np.ones((T, n, 1))
+    zero = linear_predictor(X, np.zeros(1), np.zeros((T, 2)), np.zeros((n, 2)))
+    assert np.array_equal(zero, np.zeros((T, n)))
 
-    const = linear_predictor(np.zeros(0), np.ones((n, 1)), np.array([3.0]),
-                             np.zeros((n, 0)))
+    const = linear_predictor(np.zeros((T, n, 0)), np.zeros(0), np.full((T, 1), 3.0),
+                             np.ones((n, 1)))
     assert np.allclose(const, 3.0)
 
-    covonly = linear_predictor(np.array([2.0]), np.zeros((n, 1)), np.zeros(1), X)
+    covonly = linear_predictor(X, np.array([2.0]), np.zeros((T, 1)), np.zeros((n, 1)))
     assert np.allclose(covonly, 2.0)
 
 
+@pytest.mark.parametrize("p", [0, 2])
+def test_linear_predictor_matches_per_visit_loop(rng, p):
+    T, N, k = 4, 7, 3
+    X, beta = rng.normal(size=(T, N, p)), rng.normal(size=p)
+    eta, lam = rng.normal(size=(T, k)), rng.normal(size=(N, k))
+    loop = np.array([X[t] @ beta + lam @ eta[t] for t in range(T)])
+    theta = linear_predictor(X, beta, eta, lam)
+    assert theta.shape == (T, N)
+    assert np.allclose(theta, loop, rtol=1e-14, atol=1e-14)
+
+
 def test_linear_predictor_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        linear_predictor(np.zeros(2), np.zeros((4, 1)), np.zeros(1), np.zeros((4, 1)))
+    # shape errors are numpy's own
+    with pytest.raises(ValueError):
+        linear_predictor(np.zeros((1, 4, 1)), np.zeros(2), np.zeros((1, 1)),
+                         np.zeros((4, 1)))
+    with pytest.raises(ValueError):
+        linear_predictor(np.zeros((1, 4, 0)), np.zeros(0), np.zeros((1, 2)),
+                         np.zeros((4, 1)))
 
 
 def test_log_likelihood_gaussian():
-    spec = LikelihoodSpec("gaussian")
-    val = log_likelihood(spec, np.array([1.3]), np.array([1.3]), 1.0)
-    assert val == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-10)
-    assert val == pytest.approx(-0.91894, abs=1e-5)
+    val = log_density("gaussian", np.array([1.3]), np.array([1.3]), 1.0)
+    assert val[0] == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-10)
+    assert val[0] == pytest.approx(-0.91894, abs=1e-5)
     with pytest.raises(NonPositiveVariance):
-        log_likelihood(spec, np.array([1.0]), np.array([1.0]), 0.0)
+        log_density("gaussian", np.array([1.0]), np.array([1.0]), 0.0)
+    with pytest.raises(NonPositiveVariance):
+        log_density("gaussian", np.ones((2, 3)), np.ones((2, 3)),
+                    np.array([1.0, -2.0, 3.0])[None, :])
 
 
 def test_log_likelihood_binomial():
-    spec = LikelihoodSpec("binomial")
-    up = log_likelihood(spec, np.array([1.0]), np.array([0.0]), np.array([1.0]))
-    down = log_likelihood(spec, np.array([0.0]), np.array([0.0]), np.array([1.0]))
-    assert up == pytest.approx(np.log(0.5), abs=1e-10)
-    assert down == pytest.approx(np.log(0.5), abs=1e-10)
+    up = log_density("binomial", np.array([1.0]), np.array([0.0]), np.array([1.0]))
+    down = log_density("binomial", np.array([0.0]), np.array([0.0]), np.array([1.0]))
+    assert up[0] == pytest.approx(np.log(0.5), abs=1e-10)
+    assert down[0] == pytest.approx(np.log(0.5), abs=1e-10)
     # binomial coefficient included: n=2, y=1, theta=0 -> log(2 * 0.25)
-    mid = log_likelihood(spec, np.array([1.0]), np.array([0.0]), np.array([2.0]))
-    assert mid == pytest.approx(np.log(0.5), abs=1e-10)
+    mid = log_density("binomial", np.array([1.0]), np.array([0.0]), np.array([2.0]))
+    assert mid[0] == pytest.approx(np.log(0.5), abs=1e-10)
+
+
+def test_log_density_matches_scipy(rng):
+    T, N = 5, 4
+    theta = rng.normal(size=(T, N))
+    sigma2 = rng.uniform(0.2, 3.0, size=N)
+    y = rng.normal(size=(T, N))
+    got = log_density("gaussian", y, theta, sigma2[None, :])
+    assert got.shape == (T, N)
+    assert np.allclose(got, norm.logpdf(y, loc=theta, scale=np.sqrt(sigma2)),
+                       rtol=1e-12, atol=1e-12)
+
+    trials = rng.integers(0, 9, size=(T, N)).astype(float)
+    counts = np.floor(rng.uniform(size=(T, N)) * (trials + 1))
+    got = log_density("binomial", counts, theta, trials)
+    ref = binom.logpmf(counts, trials, 1.0 / (1.0 + np.exp(-theta)))
+    assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "binomial"])
+def test_draw_observations_reads_generator_as_inline_formulas(family):
+    T, N = 3, 5
+    theta = np.random.default_rng(0).normal(size=(T, N))
+    sigma2 = np.linspace(0.5, 2.0, N)
+    trials = np.arange(T * N, dtype=float).reshape(T, N) % 4
+    ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+    if family == "gaussian":
+        values, probs = draw_observations(family, theta, sigma2[None, :], ours)
+        expect = theta + ref.standard_normal(theta.shape) * np.sqrt(sigma2)[None, :]
+        assert probs is None
+    else:
+        values, probs = draw_observations(family, theta, trials, ours)
+        pi = 1.0 / (1.0 + np.exp(-theta))
+        expect = ref.binomial(trials.astype(int), pi).astype(float)
+        assert np.array_equal(probs, pi)
+    assert np.array_equal(values, expect)
+    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_pg_transform():
-    chi, ystar = pg_transform(1.0, 1.0, 0.5)
-    assert (chi, ystar) == (0.5, 1.0)
-    chi, ystar = pg_transform(0.0, 1.0, 0.25)
-    assert (chi, ystar) == (-0.5, -2.0)
-    chi, ystar = pg_transform(3.0, 6.0, 1.0)
-    assert (chi, ystar) == (0.0, 0.0)
-    with pytest.raises(NonPositiveOmega):
-        pg_transform(1.0, 1.0, 0.0)
+    # the binomial working response chi / omega and its precision omega;
+    # a zero-trial cell has omega = 0 and contributes nothing
+    y = np.array([[1.0, 0.0, 3.0, 0.0]])
+    trials = np.array([[1.0, 1.0, 6.0, 0.0]])
+    data = ObservationSet(y=np.vstack([y, y])[:, None, :], times=np.array([0.0, 1.0]),
+                          spatial=king_grid(2, 2),
+                          trials=np.vstack([trials, trials])[:, None, :])
+    sampler = GibbsSampler(ModelSpec(k=1, likelihood=LikelihoodSpec("binomial"), L=2),
+                           data)
+    state = sampler.init_state(np.random.default_rng(0))
+    state.omega = np.tile([0.5, 0.25, 1.0, 0.0], (2, 1))
+    ystar, prec = sampler.working(state)
+    assert np.array_equal(ystar, np.tile([1.0, -2.0, 0.0, 0.0], (2, 1)))
+    assert np.array_equal(prec, state.omega)
 
 
 def test_pg_sample_moments(rng):
@@ -116,6 +180,31 @@ def test_pg_variance_matches_sinh_cosh_form():
     direct = 2.0 * (np.sinh(c) - c) / (4.0 * c ** 3 * np.cosh(c / 2.0) ** 2)
     assert np.allclose(pg_variance(2.0, c), direct, rtol=1e-12, atol=0.0)
     assert pg_variance(2.0, 0.0) == 2.0 / 24.0
+
+
+# V[PG(1, c)] from 50-digit arithmetic of (sinh(c) - c) / (4 c^3 cosh^2(c/2))
+_PG_VARIANCE_REFERENCE = [
+    (0.0, 0.041666666666666666667),
+    (1e-8, 0.041666666666666665833),
+    (-1e-8, 0.041666666666666665833),
+    (1e-4, 0.04166666658333333346),
+    (1e-3, 0.041666658333334598214),
+    (0.01, 0.041665833345981972004),
+    (0.049, 0.041646665622756173035),
+    (0.05, 0.041645841236170515419),
+    (0.051, 0.041645000220835120222),
+    (0.1, 0.041583459650789317032),
+    (1.0, 0.034446645388523026714),
+    (5.0, 0.003680534925774114959),
+]
+
+
+@pytest.mark.parametrize("c, expect", _PG_VARIANCE_REFERENCE)
+def test_pg_variance_small_c_matches_high_precision(c, expect):
+    # the closed form cancels catastrophically as c -> 0 (relative error 1
+    # at c = 1e-8); a Taylor series takes over near zero
+    for b in (1.0, 3.0):
+        assert float(pg_variance(b, c)) == pytest.approx(b * expect, rel=1e-12, abs=0.0)
 
 
 def test_pg_zero_trials(rng):

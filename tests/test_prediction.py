@@ -107,3 +107,20 @@ def test_ppd_law_of_total_variance(rng):
     cell_var = values[:, 0, :].var(axis=0)
     se = 0.8 * np.sqrt(2.0 / S)
     assert np.all(cell_var > 0.8 - 3 * se)
+
+
+def test_gaussian_ppd_centres_on_new_covariates():
+    # lam = 0 leaves theta = X beta, so each cell's values centre on it
+    S, N, p, Q = 400, 5, 2, 2
+    rng = np.random.default_rng(12)
+    beta = np.tile([1.5, -2.0], (S, 1))
+    draws = make_draws(lam=np.zeros((S, N, 1)), beta=beta, p=p,
+                       sigma2=np.full((S, N), 0.5), times=np.arange(3.0))
+    X = rng.normal(size=(Q, N, p))
+    req = PPDRequest(new_times=np.array([3.0, 4.0]), draws=draws, new_covariates=X)
+    values, _ = ppd_sample(req, seed=4)
+    se = np.sqrt(0.5 / S)
+    assert np.all(np.abs(values.mean(axis=0) - X @ beta[0]) < 4 * se)
+    # without covariates the same draws centre on zero
+    plain, _ = ppd_sample(PPDRequest(new_times=np.array([3.0, 4.0]), draws=draws), seed=4)
+    assert np.all(np.abs(plain.mean(axis=0)) < 4 * se)

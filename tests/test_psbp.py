@@ -12,7 +12,6 @@ from spfactor.psbp import (
     beta_moment_2,
     loadings_from_atoms,
     marginal_y_covariance,
-    mgp_precisions,
     psbp_process_covariance,
     psbp_process_variance,
     stick_weights,
@@ -49,11 +48,11 @@ def test_stick_weights_matrix_agrees_with_vector():
 
 
 def test_mgp_precisions():
-    assert np.allclose(mgp_precisions(MgpState(np.array([2.0, 3.0, 4.0]))), [2, 6, 24])
-    assert np.allclose(mgp_precisions(MgpState(np.ones(3))), [1, 1, 1])
-    assert np.allclose(mgp_precisions(MgpState(np.array([5.0]))), [5])
+    assert np.allclose(MgpState(np.array([2.0, 3.0, 4.0])).precisions(), [2, 6, 24])
+    assert np.allclose(MgpState(np.ones(3)).precisions(), [1, 1, 1])
+    assert np.allclose(MgpState(np.array([5.0])).precisions(), [5])
     flat = MgpState(np.array([2.0, 3.0]), multiplicative=False)
-    assert np.allclose(mgp_precisions(flat), [2, 3])
+    assert np.allclose(flat.precisions(), [2, 3])
 
 
 def _stick_state(alpha, theta, xi, slice_mode=False):

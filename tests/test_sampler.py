@@ -334,7 +334,7 @@ def test_quadratic_forms_match_kronecker_precision_with_two_types(rng, loadings_
     sampler = GibbsSampler(spec, data)
     state = sampler.init_state(rng)
     state.kappa = np.array([[1.0, 0.3], [0.3, 0.5]])
-    F = spatial_correlation(SpatialKernelSpec("car", 0.7), data.spatial)
+    F = spatial_correlation(SpatialKernelSpec("car", 0.7), data.spatial)[0]
     K_prec = np.kron(np.linalg.inv(state.kappa), np.linalg.inv(F))  # location-fastest vec
     if spec.uses_sticks:
         rows = np.vstack(state.stick.alpha)
@@ -362,12 +362,12 @@ def test_kernel_ops_factor_precision_and_logdet(kernel, structure, rho):
     data = ObservationSet(y=np.zeros((T, 1, 6)), times=np.linspace(0.0, 1.0, T),
                           spatial=structure)
     sampler = GibbsSampler(tiny_spec(spatial_kernel=kernel), data)
-    F = spatial_correlation(SpatialKernelSpec(kernel, rho), structure)
+    F = spatial_correlation(SpatialKernelSpec(kernel, rho), structure)[0]
     prec, factor, logdet = sampler.spatial_ops(rho)
     assert np.allclose(factor @ factor.T, F)
     assert np.allclose(prec @ F, np.eye(F.shape[0]))
     assert logdet == pytest.approx(np.linalg.slogdet(F)[1], rel=1e-10)
-    H = temporal_correlation(TemporalKernelSpec("exponential", 2.0), data.times)
+    H = temporal_correlation(TemporalKernelSpec("exponential", 2.0), data.times)[0]
     chol_H, H_inv, logdet_H = sampler.temporal_ops(2.0)
     assert np.allclose(chol_H @ chol_H.T, H)
     assert np.allclose(H_inv @ H, np.eye(T))
