@@ -259,7 +259,8 @@ def _model_spec(cfg: dict) -> ModelSpec:
         except ValueError:
             raise TypeError("truncation must be 'slice' or an integer")
     psi_bounds = None
-    if cfg["psi_lo"] is not None and cfg["psi_hi"] is not None:
+    if cfg["psi_lo"] is not None or cfg["psi_hi"] is not None:
+        _require(cfg, "psi_lo", "psi_hi")  # a half range is a usage error
         psi_bounds = (cfg["psi_lo"], cfg["psi_hi"])
     return ModelSpec(
         k=cfg["k"], likelihood=LikelihoodSpec(cfg["family"]), L=L,

@@ -18,6 +18,7 @@ one after another, which keeps memory independent of their number.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,9 +278,14 @@ def gap_statistic(w: np.ndarray, K_max: int, B: int = 50, seed=0,
     hi = x.max(axis=0)
     span = hi - lo
     ref_logw = np.empty((B, K_max))
-    refs = [lo + span * rng.uniform(size=x.shape) for _ in range(B)]
+    # rng draws all B references before any seeding; a copy of it redraws
+    # each one as it is fitted, so only one reference is held at a time
+    refs_rng = copy.deepcopy(rng)
+    for _ in range(B):
+        rng.uniform(size=x.shape)
     eps = 1e-300
-    for b, ref in enumerate(refs):
+    for b in range(B):
+        ref = lo + span * refs_rng.uniform(size=x.shape)
         dist = _RowDistances(ref)
         for K in range(1, K_max + 1):
             ref_logw[b, K - 1] = np.log(_wss_for(ref, K, rng, restarts, dist) + eps)

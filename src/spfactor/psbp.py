@@ -11,7 +11,7 @@ moments of the observed data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -24,8 +24,6 @@ class MgpState:
     """Column-shrinkage gammas: tau_j = prod_{h<=j} delta_h (multiplicative mode)."""
 
     delta: np.ndarray  # (k,) positive
-    a1: float = 1.0
-    a2: float = 20.0
     multiplicative: bool = True
 
     def __post_init__(self):
@@ -44,10 +42,10 @@ class MgpState:
 class StickState:
     """Per-column stick-breaking state over all mO cells.
 
-    In finite mode column j has L[j] components backed by L[j]-1 stick
-    variables and the leftover-mass closing rule.  In slice mode all L[j]
-    components are real sticks and L[j] = max(xi[j]); the sticks past it stay
-    at their prior and are regrown inside each sweep.
+    Column j has L[j] = theta[j].size components.  In finite mode they are
+    backed by L[j]-1 stick variables and the leftover-mass closing rule.  In
+    slice mode all L[j] components are real sticks and L[j] = max(xi[j]); the
+    sticks past it stay at their prior and are regrown inside each sweep.
 
     alpha[j]: (n_sticks_j, n_cells); theta[j]: (L_j,);
     xi: (k, n_cells) int, 1-based component indicators.  The slice variables
@@ -57,8 +55,11 @@ class StickState:
     alpha: list[np.ndarray]
     theta: list[np.ndarray]
     xi: np.ndarray
-    L: np.ndarray
-    slice_mode: bool = field(default=False)
+
+    @property
+    def L(self) -> np.ndarray:
+        """Components per column: the atom counts."""
+        return np.array([t.size for t in self.theta])
 
     @property
     def k(self) -> int:
@@ -67,9 +68,6 @@ class StickState:
     @property
     def n_cells(self) -> int:
         return self.xi.shape[1]
-
-    def n_sticks(self, j: int) -> int:
-        return self.L[j] if self.slice_mode else self.L[j] - 1
 
 
 def stick_weights(alpha_col: np.ndarray) -> np.ndarray:

@@ -41,8 +41,13 @@ from .likelihoods import (
 from .psbp import MgpState, StickState, loadings_from_atoms, stick_weights_matrix
 from .storage import DRAW_FIELDS, PosteriorDraws
 
-_LOADINGS_PRIORS = ("psbp-spatial", "psbp-independent", "gaussian-car", "gaussian-iid")
-_SHRINKAGES = ("mgp", "independent-gamma")
+_CHOICES = {  # the values each ModelSpec menu setting accepts
+    "loadings_prior": ("psbp-spatial", "psbp-independent", "gaussian-car", "gaussian-iid"),
+    "shrinkage": ("mgp", "independent-gamma"),
+    "spatial_kernel": ("car", "exponential-gp"),
+    "temporal_kernel": ("exponential", "ar1"),
+    "rho_prior": ("fixed", "uniform"),
+}
 _MAX_STICKS = 256
 _LOGLIK_MEMMAP_CELLS = 10_000_000  # larger loglik matrices go to an unlinked temp file
 
@@ -110,10 +115,10 @@ class ModelSpec:
             raise ValueError("k must be at least 1")
         if self.L is not None and self.L < 1:
             raise ValueError("finite truncation L must be at least 1")
-        if self.loadings_prior not in _LOADINGS_PRIORS:
-            raise ValueError(f"unknown loadings prior {self.loadings_prior!r}")
-        if self.shrinkage not in _SHRINKAGES:
-            raise ValueError(f"unknown shrinkage {self.shrinkage!r}")
+        for name, known in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in known:
+                raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
         for name, val in (("a1", self.a1), ("a2", self.a2),
                           ("sigma2_a", self.sigma2_a), ("sigma2_b", self.sigma2_b),
                           ("beta_prior_var", self.beta_prior_var)):
@@ -149,7 +154,6 @@ class ChainState:
     psi: float
     upsilon: np.ndarray              # (k, k)
     sigma2: np.ndarray | None        # (n_cells,) gaussian only
-    omega: np.ndarray | None = None  # (T, n_cells) binomial only
 
     def copy(self) -> "ChainState":
         return copy.deepcopy(self)
@@ -191,6 +195,8 @@ class GibbsSampler:
         self._cache: dict[str, tuple | None] = {"rho": None, "psi": None}
         self.scale = {"rho": 1.0, "psi": 1.0}  # random-walk scales, tuned in burn-in
         self._accept = {"rho": [0, 0], "psi": [0, 0]}
+        # binomial Polya-Gamma draws (T, N): every sweep draws them before reading
+        self.omega: np.ndarray | None = None
 
     # -- kernel caches ------------------------------------------------------
 
@@ -233,7 +239,7 @@ class GibbsSampler:
         if self.spec.likelihood.family == "gaussian":
             prec = self.obs / state.sigma2[None, :]
             return self.y, prec
-        omega = state.omega
+        omega = self.omega
         chi = self.y - self.trials / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
             ystar = np.where(omega > 0, chi / np.where(omega > 0, omega, 1.0), 0.0)
@@ -268,12 +274,9 @@ class GibbsSampler:
             delta[0] = rng.gamma(spec.a1, 1.0)
             if k > 1:
                 delta[1:] = rng.gamma(spec.a2, 1.0, size=k - 1)
-            mgp = MgpState(np.clip(delta, 1e-6, 1e6), spec.a1, spec.a2,
-                           multiplicative=True)
         else:
             delta = rng.gamma(spec.a1, 1.0 / spec.a2, size=k)
-            mgp = MgpState(np.clip(delta, 1e-6, 1e6), spec.a1, spec.a2,
-                           multiplicative=False)
+        mgp = MgpState(np.clip(delta, 1e-6, 1e6), multiplicative=spec.shrinkage == "mgp")
         tau = mgp.precisions()
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -316,20 +319,13 @@ class GibbsSampler:
             stick = self._init_sticks(kappa, rho, tau, rng)
             lam = loadings_from_atoms(stick)
         else:
-            lam = np.empty((self.N, k))
-            _, factor, _ = self.spatial_ops(rho)
-            cho_k = np.linalg.cholesky(kappa)
-            for j in range(k):
-                B = factor @ rng.standard_normal((self.m, self.O)) @ cho_k.T
-                lam[:, j] = B.flatten(order="F") / math.sqrt(tau[j])
-
-        omega = None
-        if spec.likelihood.family == "binomial":
-            omega = pg_sample_array(self.trials, np.zeros((self.T, self.N)), rng)
+            # C order, or BLAS rounds eta @ lam.T differently
+            lam = np.ascontiguousarray(
+                (self._draw_alpha_prior(kappa, rho, rng, k) / np.sqrt(tau)[:, None]).T)
 
         return ChainState(beta=beta, eta=eta, lam=lam, stick=stick, mgp=mgp,
                           kappa=kappa, rho=rho, psi=psi, upsilon=upsilon,
-                          sigma2=sigma2, omega=omega)
+                          sigma2=sigma2)
 
     def _draw_alpha_prior(self, kappa, rho, rng, count=1) -> np.ndarray:
         """`count` stick fields from N(0, kappa (x) F(rho)), rows (count, N)."""
@@ -343,7 +339,6 @@ class GibbsSampler:
         max_sticks = _MAX_STICKS if spec.slice_mode else spec.L - 1
         alpha, thetas = [], []
         xi = np.empty((spec.k, self.N), dtype=int)
-        Ls = np.empty(spec.k, dtype=int)
         for j in range(spec.k):
             rows = []
             undecided = np.arange(self.N)
@@ -359,11 +354,10 @@ class GibbsSampler:
             elif undecided.size:  # force leftovers onto one extra stick
                 rows.append(self._draw_alpha_prior(kappa, rho, rng)[0])
                 xi[j, undecided] = len(rows)
-            Ls[j] = len(rows) if spec.slice_mode else spec.L
             alpha.append(np.reshape(rows, (len(rows), self.N)))
-            thetas.append(rng.normal(0.0, 1.0 / math.sqrt(tau[j]), size=Ls[j]))
-        return StickState(alpha=alpha, theta=thetas, xi=xi, L=Ls,
-                          slice_mode=spec.slice_mode)
+            n_atoms = len(rows) if spec.slice_mode else spec.L
+            thetas.append(rng.normal(0.0, 1.0 / math.sqrt(tau[j]), size=n_atoms))
+        return StickState(alpha=alpha, theta=thetas, xi=xi)
 
     @staticmethod
     def _sample_z(alpha_mat: np.ndarray, xi_j: np.ndarray,
@@ -387,9 +381,16 @@ class GibbsSampler:
 
     # -- individual updates ---------------------------------------------------
 
+    @staticmethod
+    def _gaussian_draw(cho, b: np.ndarray, rng) -> np.ndarray:
+        """One draw from N(P^-1 b, P^-1), with `cho` the lower Cholesky
+        factor of P; `b` may hold several right-hand sides as columns."""
+        return sla.cho_solve(cho, b) + sla.solve_triangular(
+            cho[0].T, rng.standard_normal(b.shape), lower=False)
+
     def update_polya_gamma(self, state: ChainState, rng) -> None:
         theta = linear_predictor(self.X, state.beta, state.eta, state.lam)
-        state.omega = pg_sample_array(self.trials, theta, rng)
+        self.omega = pg_sample_array(self.trials, theta, rng)
 
     def update_factors(self, state: ChainState, rng) -> None:
         k = self.spec.k
@@ -403,10 +404,7 @@ class GibbsSampler:
             wl = prec[t][:, None] * state.lam
             P[t * k:(t + 1) * k, t * k:(t + 1) * k] += state.lam.T @ wl
             b[t * k:(t + 1) * k] = wl.T @ r[t]
-        cho = sla.cho_factor(P, lower=True)
-        mu = sla.cho_solve(cho, b)
-        draw = mu + sla.solve_triangular(cho[0].T, rng.standard_normal(self.T * k),
-                                         lower=False)
+        draw = self._gaussian_draw(sla.cho_factor(P, lower=True), b, rng)
         state.eta = draw.reshape(self.T, k)
 
     def update_regression(self, state: ChainState, rng) -> None:
@@ -420,10 +418,7 @@ class GibbsSampler:
             Xw = prec[t][:, None] * self.X[t]
             A += self.X[t].T @ Xw
             b += Xw.T @ r[t]
-        cho = sla.cho_factor(A, lower=True)
-        mu = sla.cho_solve(cho, b)
-        state.beta = mu + sla.solve_triangular(cho[0].T, rng.standard_normal(self.p),
-                                               lower=False)
+        state.beta = self._gaussian_draw(sla.cho_factor(A, lower=True), b, rng)
 
     def _column_stats(self, state, yw, prec, j):
         """Per-cell linear and quadratic likelihood terms for loading column j."""
@@ -439,19 +434,19 @@ class GibbsSampler:
         else:
             self._update_gaussian_loadings(state, rng)
 
-    def _alpha_posterior_cho(self, state):
-        """Cholesky of kappa^-1 (x) F^-1 + I, shared by all stick updates."""
+    def _field_precision(self, state) -> np.ndarray:
+        """kappa^-1 (x) F^-1: the prior precision of a stick field, and of a
+        Gaussian loading column up to its tau_j."""
         F_prec, _, _ = self.spatial_ops(state.rho)
-        kinv = np.linalg.inv(state.kappa)
-        P = np.kron(kinv, F_prec) + np.eye(self.N)
-        return sla.cho_factor(P, lower=True)
+        return np.kron(np.linalg.inv(state.kappa), F_prec)
 
     def _update_sticks(self, state: ChainState, rng) -> None:
         spec = self.spec
         stick = state.stick
         tau = state.mgp.precisions()
         yw, prec = self.working(state)
-        cho_P = self._alpha_posterior_cho(state)
+        # the unit-variance latent probits add I to every field's prior precision
+        cho_P = sla.cho_factor(self._field_precision(state) + np.eye(self.N), lower=True)
         cells = np.arange(self.N)
         for j in range(spec.k):
             A, B = self._column_stats(state, yw, prec, j)
@@ -486,11 +481,7 @@ class GibbsSampler:
 
             z_j = self._sample_z(alpha_j, xi_j, rng)
             if z_j.shape[0]:
-                rhs = z_j.T  # (N, n_sticks)
-                mu = sla.cho_solve(cho_P, rhs)
-                noise = sla.solve_triangular(cho_P[0].T,
-                                             rng.standard_normal(rhs.shape), lower=False)
-                alpha_j = (mu + noise).T
+                alpha_j = self._gaussian_draw(cho_P, z_j.T, rng).T
 
             counts_B = np.bincount(xi_j - 1, weights=B, minlength=n_comp)
             sums_A = np.bincount(xi_j - 1, weights=A, minlength=n_comp)
@@ -501,22 +492,16 @@ class GibbsSampler:
             stick.alpha[j] = alpha_j
             stick.theta[j] = theta_j
             stick.xi[j] = xi_j
-            stick.L[j] = n_comp
             state.lam[:, j] = theta_j[xi_j - 1]
 
     def _update_gaussian_loadings(self, state: ChainState, rng) -> None:
         tau = state.mgp.precisions()
         yw, prec = self.working(state)
-        F_prec, _, _ = self.spatial_ops(state.rho)
-        kinv = np.linalg.inv(state.kappa)
-        K_prec = np.kron(kinv, F_prec)
+        K_prec = self._field_precision(state)
         for j in range(self.spec.k):
             A, B = self._column_stats(state, yw, prec, j)
             P = tau[j] * K_prec + np.diag(B)
-            cho = sla.cho_factor(P, lower=True)
-            mu = sla.cho_solve(cho, A)
-            state.lam[:, j] = mu + sla.solve_triangular(
-                cho[0].T, rng.standard_normal(self.N), lower=False)
+            state.lam[:, j] = self._gaussian_draw(sla.cho_factor(P, lower=True), A, rng)
 
     def update_variance_components(self, state: ChainState, rng) -> None:
         spec = self.spec
@@ -662,7 +647,7 @@ class GibbsSampler:
 
     def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
         spec = self.spec
-        if spec.likelihood.family == "binomial" and "omega" not in spec.fixed:
+        if spec.likelihood.family == "binomial":
             self.update_polya_gamma(state, rng)
         if "loadings" not in spec.fixed:
             self.update_loadings_block(state, rng)
@@ -678,10 +663,6 @@ class GibbsSampler:
         theta = linear_predictor(self.X, state.beta, state.eta, state.lam)
         nuisance = self.trials if state.sigma2 is None else state.sigma2[None, :]
         return log_density(self.spec.likelihood.family, self.y, theta, nuisance)[self.obs]
-
-    def obs_index(self) -> np.ndarray:
-        tt, cc = np.nonzero(self.obs)
-        return np.column_stack([tt, cc])
 
     def regenerate_data(self, state: ChainState, rng: np.random.Generator) -> None:
         """Replace the observed data with a draw from the likelihood at `state`
@@ -700,7 +681,7 @@ class GibbsSampler:
         state = init.copy() if init is not None else self.init_state(rng)
         spec = self.spec
         n_keep = (n_iter - burn_in) // thin
-        obs_index = self.obs_index()
+        obs_index = np.column_stack(np.nonzero(self.obs))
         n_obs = obs_index.shape[0]
         if n_obs * n_keep > _LOGLIK_MEMMAP_CELLS:
             with tempfile.TemporaryFile(dir=loglik_dir) as tmp:
@@ -829,19 +810,15 @@ def _run_one(spec, data, n_iter, burn_in, thin, seed, chain_id, init=None):
 
 def save_checkpoint(path, state: ChainState, rng: np.random.Generator | None = None,
                     sweep_index: int = 0) -> None:
-    """Binary-stable ChainState serialization with a format-version header."""
-    from .storage import save_state_blob
+    """Binary-stable ChainState serialization with a format-version header;
+    each unknown is stored once (Polya-Gamma draws are redrawn every sweep)."""
+    from .storage import write_container
 
     meta = {
         "kind": "checkpoint",
         "sweep_index": sweep_index,
         "rho": state.rho, "psi": state.psi,
-        "mgp_a1": state.mgp.a1, "mgp_a2": state.mgp.a2,
         "mgp_multiplicative": state.mgp.multiplicative,
-        "has_stick": state.stick is not None,
-        "slice_mode": bool(state.stick.slice_mode) if state.stick else False,
-        "has_sigma2": state.sigma2 is not None,
-        "has_omega": state.omega is not None,
         "rng_state": None if rng is None else rng.bit_generator.state,
     }
     arrays = {"beta": state.beta, "eta": state.eta, "lam": state.lam,
@@ -849,54 +826,51 @@ def save_checkpoint(path, state: ChainState, rng: np.random.Generator | None = N
               "delta": state.mgp.delta}
     if state.sigma2 is not None:
         arrays["sigma2"] = state.sigma2
-    if state.omega is not None:
-        arrays["omega"] = state.omega
     if state.stick is not None:
-        meta["k"] = state.stick.k
         arrays["xi"] = state.stick.xi
-        arrays["L"] = state.stick.L
         for j in range(state.stick.k):
             arrays[f"alpha_{j}"] = state.stick.alpha[j]
             arrays[f"theta_{j}"] = state.stick.theta[j]
-    save_state_blob(path, meta, arrays)
+    write_container(path, meta, arrays)
 
 
 def load_checkpoint(path) -> tuple[ChainState, dict]:
-    from .storage import load_state_blob
+    """The state and metadata `save_checkpoint` wrote.  Keys it no longer
+    writes (stick counts, Polya-Gamma draws, ...) are ignored."""
+    from .storage import read_container
 
-    meta, arrays = load_state_blob(path)
+    meta, arrays = read_container(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError("container does not hold a checkpoint")
     stick = None
-    if meta["has_stick"]:
-        k = meta["k"]
-        stick = StickState(
-            alpha=[arrays[f"alpha_{j}"] for j in range(k)],
-            theta=[arrays[f"theta_{j}"] for j in range(k)],
-            xi=arrays["xi"], L=arrays["L"], slice_mode=meta["slice_mode"])
+    if "xi" in arrays:
+        k = arrays["xi"].shape[0]
+        stick = StickState(alpha=[arrays[f"alpha_{j}"] for j in range(k)],
+                           theta=[arrays[f"theta_{j}"] for j in range(k)],
+                           xi=arrays["xi"])
     state = ChainState(
         beta=arrays["beta"], eta=arrays["eta"], lam=arrays["lam"], stick=stick,
-        mgp=MgpState(arrays["delta"], meta["mgp_a1"], meta["mgp_a2"],
-                     meta["mgp_multiplicative"]),
+        mgp=MgpState(arrays["delta"], meta["mgp_multiplicative"]),
         kappa=arrays["kappa"], rho=meta["rho"], psi=meta["psi"],
-        upsilon=arrays["upsilon"],
-        sigma2=arrays.get("sigma2"), omega=arrays.get("omega"))
+        upsilon=arrays["upsilon"], sigma2=arrays.get("sigma2"))
     return state, meta
 
 
-def assert_stick_consistency(state: ChainState) -> None:
-    """Debug invariant: array shapes match L, xi lies in 1..L, and the
-    weights sum to one (finite mode) or at most one (slice mode)."""
+def assert_stick_consistency(spec: ModelSpec, state: ChainState) -> None:
+    """Debug invariant: each column has spec.L components (finite mode) or
+    max(xi) of them (slice mode), the stick arrays match, xi lies in 1..L,
+    and the weights sum to one (finite mode) or at most one (slice mode)."""
     stick = state.stick
     if stick is None:
         return
-    for j in range(stick.k):
-        assert stick.alpha[j].shape == (stick.n_sticks(j), stick.n_cells)
-        assert stick.theta[j].shape == (stick.L[j],)
-        assert np.all(stick.xi[j] >= 1) and np.all(stick.xi[j] <= stick.L[j])
+    for j, L in enumerate(stick.L):
+        assert L == (stick.xi[j].max() if spec.slice_mode else spec.L)
+        n_sticks = L if spec.slice_mode else L - 1
+        assert stick.alpha[j].shape == (n_sticks, stick.n_cells)
+        assert np.all(stick.xi[j] >= 1) and np.all(stick.xi[j] <= L)
         total = stick_weights_matrix(stick.alpha[j],
-                                     closing=not stick.slice_mode).sum(axis=0)
-        if stick.slice_mode:
+                                     closing=not spec.slice_mode).sum(axis=0)
+        if spec.slice_mode:
             assert np.all(total <= 1.0 + 1e-12)
         else:
             assert np.max(np.abs(total - 1.0)) <= 1e-12

@@ -106,41 +106,38 @@ def merge_draws(parts: list[PosteriorDraws]) -> PosteriorDraws:
 # -- deterministic binary container ------------------------------------------
 
 
-def _write_blob(fh, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    manifest = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        manifest.append({"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)})
-    meta = dict(meta)
-    meta["format_version"] = _FORMAT_VERSION
-    meta["arrays"] = manifest
+def write_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write `meta` and `arrays`, in the given order, to the file `path`."""
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    arrays = {name: arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+              for name, arr in arrays.items()}
+    meta = dict(meta, format_version=_FORMAT_VERSION, arrays=[
+        {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
+        for name, arr in arrays.items()])
     head = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    fh.write(_MAGIC)
-    fh.write(len(head).to_bytes(8, "little"))
-    fh.write(head)
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        fh.write(arr.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(len(head).to_bytes(8, "little"))
+        fh.write(head)
+        for arr in arrays.values():
+            fh.write(arr.tobytes())
 
 
-def _read_blob(fh) -> tuple[dict, dict[str, np.ndarray]]:
-    magic = fh.read(len(_MAGIC))
-    if magic != _MAGIC:
-        raise ValueError("not an spfactor container")
-    n = int.from_bytes(fh.read(8), "little")
-    meta = json.loads(fh.read(n).decode())
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported container version {meta.get('format_version')}")
-    arrays = {}
-    for entry in meta["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        buf = fh.read(count * dtype.itemsize)
-        arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    meta.pop("arrays")
+def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The (meta, arrays) pair that `write_container` wrote to `path`."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise ValueError("not an spfactor container")
+        n = int.from_bytes(fh.read(8), "little")
+        meta = json.loads(fh.read(n).decode())
+        if meta.get("format_version") != _FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported container version {meta.get('format_version')}")
+        arrays = {}
+        for entry in meta.pop("arrays"):
+            dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+            buf = fh.read(math.prod(shape) * dtype.itemsize)
+            arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
     meta.pop("format_version")
     return meta, arrays
 
@@ -157,13 +154,11 @@ def save_draws(path, draws: PosteriorDraws) -> None:
                              else np.zeros(0))
     for j, w in enumerate(draws.weight_sum):
         arrays[f"weight_sum_{j}"] = w
-    with open(path, "wb") as fh:
-        _write_blob(fh, meta, arrays)
+    write_container(path, meta, arrays)
 
 
 def load_draws(path) -> PosteriorDraws:
-    with open(path, "rb") as fh:
-        meta, arrays = _read_blob(fh)
+    meta, arrays = read_container(path)
     if meta.pop("kind", None) != "posterior_draws":
         raise ValueError("container does not hold posterior draws")
     weight_sum = [arrays.pop(f"weight_sum_{j}") for j in range(meta["k"])
@@ -171,16 +166,6 @@ def load_draws(path) -> PosteriorDraws:
     last_trials = arrays.pop("last_trials")
     return PosteriorDraws(**meta, **arrays, weight_sum=weight_sum,
                           last_trials=last_trials if last_trials.size else None)
-
-
-def save_state_blob(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        _write_blob(fh, meta, arrays)
-
-
-def load_state_blob(path) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        return _read_blob(fh)
 
 
 # -- CSV export ----------------------------------------------------------------

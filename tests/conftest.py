@@ -33,6 +33,14 @@ def gaussian_dataset(seed=0, T=6, rows=2, cols=3, p=0, scale=1.0) -> Observation
                           covariates=covs)
 
 
+def binomial_dataset(T=3, m=3, p=1, seed=0) -> ObservationSet:
+    rng = np.random.default_rng(seed)
+    trials = np.full((T, 1, m), 5.0)
+    return ObservationSet(y=rng.binomial(5, 0.4, size=(T, 1, m)).astype(float),
+                          times=np.linspace(0.0, 1.0, T), spatial=king_grid(1, m),
+                          covariates=rng.normal(size=(T, 1, m, p)), trials=trials)
+
+
 def batch_se(x: np.ndarray, n_batches: int = 20) -> float:
     """Standard error of the mean of a correlated chain via batch means."""
     x = np.asarray(x, dtype=float).ravel()

@@ -246,11 +246,25 @@ def _fit(tmp_path, sim_dir, extra):
     ("n_iter = 20\nburn_in = 20\n", "ValidationError"),
     ("n_iter = 20\nburn_in = 19\n", "DegenerateDraws"),  # one kept draw: no WAIC
     ("chains = 0\n", "ValidationError"),
-], ids=["unknown-prior", "no-kept-draws", "one-kept-draw", "no-chains"])
+    ("spatial_kernel = bogus\n", "ValidationError"),
+    ("temporal_kernel = bogus\n", "ValidationError"),
+    ("loadings_prior = psbp-independent\nspatial_kernel = bogus\n", "ValidationError"),
+    ("rho_prior = Uniform\n", "ValidationError"),
+    ("psi_lo = 0.5\n", "MissingRequired"),
+    ("psi_hi = 3.0\n", "MissingRequired"),
+], ids=["unknown-prior", "no-kept-draws", "one-kept-draw", "no-chains",
+        "unknown-spatial-kernel", "unknown-temporal-kernel",
+        "unknown-kernel-without-spatial-loadings", "unknown-rho-prior",
+        "psi-lo-alone", "psi-hi-alone"])
 def test_fit_usage_errors_exit_2(tmp_path, sim_dir, capsys, extra, error):
     assert _fit(tmp_path, sim_dir, extra) == 2
     assert f"error: {error}:" in capsys.readouterr().err
     assert not (tmp_path / "fit" / "draws.bin").exists()
+
+
+def test_half_psi_range_names_the_missing_key(tmp_path, sim_dir, capsys):
+    assert _fit(tmp_path, sim_dir, "psi_lo = 0.5\n") == 2
+    assert "config key 'psi_hi' is required" in capsys.readouterr().err
 
 
 def test_fit_artifacts_share_plain_open_mode(tmp_path, sim_dir):

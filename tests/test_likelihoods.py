@@ -126,10 +126,10 @@ def test_pg_transform():
     sampler = GibbsSampler(ModelSpec(k=1, likelihood=LikelihoodSpec("binomial"), L=2),
                            data)
     state = sampler.init_state(np.random.default_rng(0))
-    state.omega = np.tile([0.5, 0.25, 1.0, 0.0], (2, 1))
+    sampler.omega = np.tile([0.5, 0.25, 1.0, 0.0], (2, 1))
     ystar, prec = sampler.working(state)
     assert np.array_equal(ystar, np.tile([1.0, -2.0, 0.0, 0.0], (2, 1)))
-    assert np.array_equal(prec, state.omega)
+    assert np.array_equal(prec, sampler.omega)
 
 
 def test_pg_sample_moments(rng):

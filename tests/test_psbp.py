@@ -55,14 +55,10 @@ def test_mgp_precisions():
     assert np.allclose(flat.precisions(), [2, 3])
 
 
-def _stick_state(alpha, theta, xi, slice_mode=False):
-    k = len(alpha)
-    n = xi.shape[1]
+def _stick_state(alpha, theta, xi):
     return StickState(alpha=[np.asarray(a, float) for a in alpha],
                       theta=[np.asarray(t, float) for t in theta],
-                      xi=np.asarray(xi, int),
-                      L=np.array([len(t) for t in theta]),
-                      slice_mode=slice_mode)
+                      xi=np.asarray(xi, int))
 
 
 def test_loadings_from_atoms():

@@ -14,6 +14,7 @@ from spfactor.kernels import (
 from spfactor.likelihoods import LikelihoodSpec
 from spfactor import sampler as sampler_module
 from spfactor.psbp import stick_weights_matrix
+from spfactor.storage import write_container
 from spfactor.sampler import (
     ChainState,
     GibbsSampler,
@@ -25,7 +26,7 @@ from spfactor.sampler import (
     save_checkpoint,
 )
 
-from conftest import batch_se, gaussian_dataset, king_grid, point_line
+from conftest import batch_se, binomial_dataset, gaussian_dataset, king_grid, point_line
 
 
 def tiny_spec(**kwargs):
@@ -396,7 +397,7 @@ def test_sweep_preserves_invariants(rng):
         state = sampler.init_state(rng)
         for _ in range(30):
             sampler.sweep(state, rng)
-            assert_stick_consistency(state)
+            assert_stick_consistency(spec, state)
 
 
 def test_run_chain_bookkeeping():
@@ -490,6 +491,110 @@ def test_checkpoint_roundtrip_and_resume(tmp_path):
     assert np.allclose(cont.lam, straight.lam)
 
 
+def _assert_same_state(a: ChainState, b: ChainState) -> None:
+    for name in ("beta", "eta", "lam", "kappa", "upsilon", "sigma2"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+    assert (a.rho, a.psi) == (b.rho, b.psi)
+    assert np.array_equal(a.mgp.delta, b.mgp.delta)
+    assert a.mgp.multiplicative == b.mgp.multiplicative
+    assert (a.stick is None) == (b.stick is None)
+    if a.stick is not None:
+        assert np.array_equal(a.stick.xi, b.stick.xi)
+        for x, y in zip(a.stick.alpha + a.stick.theta, b.stick.alpha + b.stick.theta):
+            assert np.array_equal(x, y)
+
+
+def test_binomial_sweep_draws_omega_before_reading_it():
+    # whatever the sampler held as omega before a sweep cannot change it
+    data = binomial_dataset(T=4, m=4)
+    spec = ModelSpec(k=2, likelihood=LikelihoodSpec("binomial"))
+    ends = []
+    for start in (None, np.full((data.T, data.n_cells), np.nan)):
+        sampler = GibbsSampler(spec, data)
+        rng = np.random.default_rng(12)
+        state = sampler.init_state(rng)
+        sampler.omega = start
+        sampler.sweep(state, rng)
+        ends.append((state, rng.bit_generator.state))
+    _assert_same_state(ends[0][0], ends[1][0])
+    assert ends[0][1] == ends[1][1]
+
+
+@pytest.mark.parametrize("family, L", [("gaussian", None), ("binomial", None),
+                                       ("binomial", 3)])
+def test_checkpoint_resume_continues_exactly(tmp_path, family, L):
+    data = gaussian_dataset() if family == "gaussian" else binomial_dataset(T=4, m=4)
+    spec = ModelSpec(k=2, L=L, likelihood=LikelihoodSpec(family))
+    sampler = GibbsSampler(spec, data)
+    rng = np.random.default_rng(8)
+    state = sampler.init_state(rng)
+    for _ in range(4):
+        sampler.sweep(state, rng)
+    path = tmp_path / "chk.bin"
+    save_checkpoint(path, state, rng=rng, sweep_index=4)
+    loaded, meta = load_checkpoint(path)
+    _assert_same_state(loaded, state)
+    rng_resumed = np.random.default_rng()
+    rng_resumed.bit_generator.state = meta["rng_state"]
+    resumed = GibbsSampler(spec, data)
+    for _ in range(3):
+        sampler.sweep(state, rng)
+        resumed.sweep(loaded, rng_resumed)
+    _assert_same_state(loaded, state)
+    assert rng_resumed.bit_generator.state == rng.bit_generator.state
+
+
+def test_load_checkpoint_reads_the_older_layout(tmp_path):
+    # Checkpoints that also stored the truncations L, slice_mode, the
+    # Polya-Gamma draws, the MGP shapes, k and has_* flags still load; the
+    # extra keys are ignored and the fit resumes as from the new layout.
+    data = binomial_dataset(T=4, m=4)
+    spec = ModelSpec(k=2, likelihood=LikelihoodSpec("binomial"))
+    sampler = GibbsSampler(spec, data)
+    rng = np.random.default_rng(5)
+    state = sampler.init_state(rng)
+    sampler.sweep(state, rng)
+    stick = state.stick
+    meta = {"kind": "checkpoint", "sweep_index": 1, "rho": state.rho, "psi": state.psi,
+            "mgp_a1": spec.a1, "mgp_a2": spec.a2, "mgp_multiplicative": True,
+            "has_stick": True, "slice_mode": True, "has_sigma2": False,
+            "has_omega": True, "rng_state": rng.bit_generator.state, "k": spec.k}
+    arrays = {"beta": state.beta, "eta": state.eta, "lam": state.lam,
+              "kappa": state.kappa, "upsilon": state.upsilon, "delta": state.mgp.delta,
+              "omega": sampler.omega, "xi": stick.xi, "L": stick.L}
+    for j in range(spec.k):
+        arrays[f"alpha_{j}"] = stick.alpha[j]
+        arrays[f"theta_{j}"] = stick.theta[j]
+    write_container(tmp_path / "old.bin", meta, arrays)
+    save_checkpoint(tmp_path / "new.bin", state, rng=rng, sweep_index=1)
+    old, old_meta = load_checkpoint(tmp_path / "old.bin")
+    new, new_meta = load_checkpoint(tmp_path / "new.bin")
+    _assert_same_state(old, state)
+    _assert_same_state(new, state)
+    assert old_meta["rng_state"] == new_meta["rng_state"]
+    ends = []
+    for loaded, meta_read in ((old, old_meta), (new, new_meta)):
+        rng_resumed = np.random.default_rng()
+        rng_resumed.bit_generator.state = meta_read["rng_state"]
+        GibbsSampler(spec, data).sweep(loaded, rng_resumed)
+        ends.append(rng_resumed.bit_generator.state)
+    _assert_same_state(old, new)
+    assert ends[0] == ends[1]
+
+
+@pytest.mark.parametrize("L", [None, 3])
+def test_stick_truncation_is_the_atom_count(rng, L):
+    spec = ModelSpec(k=2, L=L)
+    sampler = GibbsSampler(spec, gaussian_dataset(T=5))
+    state = sampler.init_state(rng)
+    for _ in range(10):
+        sampler.sweep(state, rng)
+        stick = state.stick
+        assert np.array_equal(stick.L, [t.size for t in stick.theta])
+        assert np.array_equal(stick.L, stick.xi.max(axis=1) if L is None else [L, L])
+
+
 def test_chain_with_missing_cells(rng):
     data = gaussian_dataset(T=5)
     data.missing_mask[2, 0, 1] = True
@@ -581,7 +686,7 @@ def test_omega_matches_pg_moments(rng):
     state.eta[:] = 0.0
     state.beta = np.zeros(0)
     sampler.update_polya_gamma(state, rng)
-    x = state.omega.ravel()
+    x = sampler.omega.ravel()
     assert x.mean() == pytest.approx(0.25, abs=3 * x.std() / np.sqrt(x.size))
 
 

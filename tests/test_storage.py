@@ -16,7 +16,7 @@ from spfactor.storage import (
     write_draws_csv,
 )
 
-from conftest import gaussian_dataset, king_grid
+from conftest import binomial_dataset, gaussian_dataset, king_grid
 
 
 def _small_draws(seed=1, L=3):
@@ -91,14 +91,6 @@ def test_draws_csv_has_named_scalars(tmp_path):
     assert float(body[0][eta_idx]) == draws.eta[0, 0, 0]
 
 
-def _binomial_dataset(T=3, m=3, p=1, seed=0):
-    rng = np.random.default_rng(seed)
-    trials = np.full((T, 1, m), 5.0)
-    return ObservationSet(y=rng.binomial(5, 0.4, size=(T, 1, m)).astype(float),
-                          times=np.linspace(0.0, 1.0, T), spatial=king_grid(1, m),
-                          covariates=rng.normal(size=(T, 1, m, p)), trials=trials)
-
-
 def _m4_dataset(T=3, m=2, O=2, seed=0):
     rng = np.random.default_rng(seed)
     return ObservationSet(y=rng.normal(size=(T, O, m)), times=np.linspace(0.0, 1.0, T),
@@ -109,7 +101,7 @@ _M4 = dict(loadings_prior="gaussian-car", shrinkage="independent-gamma",
            rho_prior="uniform")
 _FITS = {
     "gaussian-psbp": (lambda: gaussian_dataset(T=4), dict(k=2)),
-    "binomial": (_binomial_dataset, dict(k=2, likelihood=LikelihoodSpec("binomial"))),
+    "binomial": (binomial_dataset, dict(k=2, likelihood=LikelihoodSpec("binomial"))),
     "m4": (_m4_dataset, dict(k=2, **_M4)),
 }
 
@@ -184,7 +176,7 @@ def _csv_rows(tmp_path, draws):
 
 def test_draws_csv_header_binomial(tmp_path):
     draws = run_chain(ModelSpec(k=2, likelihood=LikelihoodSpec("binomial")),
-                      _binomial_dataset(T=3, m=3, p=1), 6, burn_in=2, seed=4)
+                      binomial_dataset(T=3, m=3, p=1), 6, burn_in=2, seed=4)
     rows = _csv_rows(tmp_path, draws)
     assert rows[0] == [
         "chain", "iteration", "beta[1]",
