@@ -55,7 +55,8 @@ def _spectral_variance_at_zero(x: np.ndarray) -> float:
     n = x.size
     xc = x - x.mean()
     gamma0 = float(xc @ xc) / n
-    if gamma0 == 0.0:
+    # a constant x can centre to rounding residues (mean of 0.99s != 0.99)
+    if gamma0 == 0.0 or np.ptp(x) == 0.0:
         raise ZeroVariance("segment has zero variance")
     L = max(1, int(0.04 * n))
     s = gamma0

@@ -224,10 +224,7 @@ def truncated_normal(mean: np.ndarray, positive: np.ndarray,
     """
     mean = np.asarray(mean, dtype=float)
     log_u = np.log(rng.uniform(size=mean.shape))
-    out = np.empty_like(mean)
-    neg = ~positive
-    # z < 0: z = mean + ndtri(U * Phi(-mean)) computed in log space
-    out[neg] = mean[neg] + ndtri_exp(log_u[neg] + log_ndtr(-mean[neg]))
-    # z > 0 by symmetry of the negative-branch construction
-    out[positive] = mean[positive] - ndtri_exp(log_u[positive] + log_ndtr(mean[positive]))
-    return out
+    # z < 0: z = mean + ndtri(U * Phi(-mean)) computed in log space;
+    # z > 0 by the mirror image of that construction
+    sign = np.where(positive, -1.0, 1.0)
+    return mean + sign * ndtri_exp(log_u + log_ndtr(-sign * mean))

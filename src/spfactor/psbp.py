@@ -95,12 +95,15 @@ def stick_weights_matrix(alpha: np.ndarray, closing: bool = True) -> np.ndarray:
     (slice mode, where the tail stays open).
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    v = ndtr(alpha)
-    # mass left before each stick (and after the last): prod_{r<l} (1 - Phi(alpha_r))
-    remaining = np.cumprod(np.vstack([np.ones((1, alpha.shape[1])), 1.0 - v]), axis=0)
+    n = alpha.shape[0]
+    w = np.empty((n + closing, alpha.shape[1]))
+    ndtr(alpha, out=w[:n])
+    # mass left after each stick: prod_{r<=l} (1 - Phi(alpha_r))
+    left = np.cumprod(1.0 - w[:n], axis=0)
     if closing:
-        return np.vstack([v * remaining[:-1], remaining[-1:]])
-    return v * remaining[:-1]
+        w[n] = left[-1] if n else 1.0
+    w[1:n] *= left[:-1]
+    return w
 
 
 def loadings_from_atoms(state: StickState) -> np.ndarray:

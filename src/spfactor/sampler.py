@@ -7,6 +7,10 @@ to a Gaussian working response with a per-cell diagonal precision (1/sigma2
 for Gaussian data, the Polya-Gamma draw for binomial), so every conditional
 except rho/psi is conjugate; those two use adaptive random-walk Metropolis
 on a transformed scale, tuned during burn-in only.
+
+The Gaussian conditionals factorise and solve through LAPACK's potrf, potrs
+and trtrs directly: at this model's sizes scipy.linalg's validation and
+dispatch layers cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.blas import dtrmm, dtrsm
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.special import ndtr
 
 from .data import ObservationSet, validate
@@ -48,8 +52,40 @@ _CHOICES = {  # the values each ModelSpec menu setting accepts
     "temporal_kernel": ("exponential", "ar1"),
     "rho_prior": ("fixed", "uniform"),
 }
+_UPDATES = ("loadings", "eta", "beta", "sigma2", "kappa", "upsilon", "delta", "rho", "psi")
 _MAX_STICKS = 256
 _LOGLIK_MEMMAP_CELLS = 10_000_000  # larger loglik matrices go to an unlinked temp file
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same products, without its shape handling."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _cho_lower(P: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of P (upper triangle zeroed), as
+    `scipy.linalg.cholesky(P, lower=True)` computes it."""
+    _check_finite(P)
+    c, info = dpotrf(P, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
+def _gaussian_draw(c: np.ndarray, b: np.ndarray, rng) -> np.ndarray:
+    """One draw from N(P^-1 b, P^-1), with `c` the lower Cholesky factor of
+    P; `b` may hold several right-hand sides as columns.  Runs the LAPACK
+    calls of `cho_solve((c, True), b)` and `solve_triangular(c.T, z)`."""
+    _check_finite(b)
+    mean, _ = dpotrs(c, b, lower=1)
+    noise, _ = dtrtrs(c, rng.standard_normal(b.shape), lower=1, trans=1)
+    return mean + noise
 
 
 def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -65,7 +101,7 @@ def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np
     if df <= d - 1:
         raise ValueError("Degrees of freedom must be greater than the "
                          "dimension of scale matrix minus 1.")
-    C = sla.cholesky(scale, lower=True)
+    C = _cho_lower(scale)
     A = np.zeros((d, d))
     A[np.tril_indices(d, -1)] = rng.normal(size=d * (d - 1) // 2)
     A[np.diag_indices(d)] = rng.chisquare((df - d + 1) + np.arange(d)) ** 0.5
@@ -81,8 +117,9 @@ class ModelSpec:
     kernels, prior menu, and hyperparameters.
 
     L=None selects the slice-sampled infinite mixture; an integer fixes a
-    finite truncation.  `fixed` names updates to skip (useful for conjugate
-    micro-tests); rho is also held when rho_prior == "fixed".
+    finite truncation.  `fixed` names updates to skip, from `_UPDATES`
+    (useful for conjugate micro-tests); rho is also held when
+    rho_prior == "fixed".
     """
 
     k: int
@@ -111,6 +148,9 @@ class ModelSpec:
     fixed: frozenset = frozenset()
 
     def __post_init__(self):
+        for name in sorted(self.fixed):
+            if name not in _UPDATES:
+                raise ValueError(f"unknown update {name!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.L is not None and self.L < 1:
@@ -212,7 +252,7 @@ class GibbsSampler:
             if skind == "car":
                 prec = np.diag(struct.neighbour_counts) - rho * struct.adjacency
             else:
-                prec = sla.cho_solve((factor, True), np.eye(self.m))
+                prec, _ = dpotrs(factor, np.eye(self.m), lower=1)
             logdet_F = 2.0 * float(np.sum(np.log(np.diag(factor))))
         else:
             prec = factor = np.eye(self.m)
@@ -227,7 +267,7 @@ class GibbsSampler:
             return cached[1:]
         _, chol_H = temporal_correlation(
             TemporalKernelSpec(self.spec.temporal_kernel, psi), self.times)
-        H_inv = sla.cho_solve((chol_H, True), np.eye(self.T))
+        H_inv, _ = dpotrs(chol_H, np.eye(self.T), lower=1)
         logdet_H = 2.0 * float(np.sum(np.log(np.diag(chol_H))))
         self._cache["psi"] = (psi, chol_H, H_inv, logdet_H)
         return chol_H, H_inv, logdet_H
@@ -320,39 +360,40 @@ class GibbsSampler:
             lam = loadings_from_atoms(stick)
         else:
             # C order, or BLAS rounds eta @ lam.T differently
-            lam = np.ascontiguousarray(
-                (self._draw_alpha_prior(kappa, rho, rng, k) / np.sqrt(tau)[:, None]).T)
+            lam = np.ascontiguousarray((self._draw_alpha_prior(
+                np.linalg.cholesky(kappa), rho, rng, k) / np.sqrt(tau)[:, None]).T)
 
         return ChainState(beta=beta, eta=eta, lam=lam, stick=stick, mgp=mgp,
                           kappa=kappa, rho=rho, psi=psi, upsilon=upsilon,
                           sigma2=sigma2)
 
-    def _draw_alpha_prior(self, kappa, rho, rng, count=1) -> np.ndarray:
-        """`count` stick fields from N(0, kappa (x) F(rho)), rows (count, N)."""
+    def _draw_alpha_prior(self, cho_k, rho, rng, count=1) -> np.ndarray:
+        """`count` stick fields from N(0, kappa (x) F(rho)), rows (count, N);
+        `cho_k` is the lower Cholesky factor of kappa."""
         _, factor, _ = self.spatial_ops(rho)
-        cho_k = np.linalg.cholesky(kappa)
         B = factor @ rng.standard_normal((count, self.m, self.O)) @ cho_k.T
         return B.transpose(0, 2, 1).reshape(count, self.N)  # location-fastest rows
 
     def _init_sticks(self, kappa, rho, tau, rng) -> StickState:
         spec = self.spec
         max_sticks = _MAX_STICKS if spec.slice_mode else spec.L - 1
+        cho_k = np.linalg.cholesky(kappa)
         alpha, thetas = [], []
         xi = np.empty((spec.k, self.N), dtype=int)
         for j in range(spec.k):
             rows = []
             undecided = np.arange(self.N)
             while undecided.size and len(rows) < max_sticks:
-                a = self._draw_alpha_prior(kappa, rho, rng)[0]
+                a = self._draw_alpha_prior(cho_k, rho, rng)[0]
                 rows.append(a)
                 hit = rng.uniform(size=undecided.size) < ndtr(a[undecided])
                 xi[j, undecided[hit]] = len(rows)
                 undecided = undecided[~hit]
             if not spec.slice_mode:
                 xi[j, undecided] = spec.L
-                rows.extend(self._draw_alpha_prior(kappa, rho, rng, max_sticks - len(rows)))
+                rows.extend(self._draw_alpha_prior(cho_k, rho, rng, max_sticks - len(rows)))
             elif undecided.size:  # force leftovers onto one extra stick
-                rows.append(self._draw_alpha_prior(kappa, rho, rng)[0])
+                rows.append(self._draw_alpha_prior(cho_k, rho, rng)[0])
                 xi[j, undecided] = len(rows)
             alpha.append(np.reshape(rows, (len(rows), self.N)))
             n_atoms = len(rows) if spec.slice_mode else spec.L
@@ -381,13 +422,6 @@ class GibbsSampler:
 
     # -- individual updates ---------------------------------------------------
 
-    @staticmethod
-    def _gaussian_draw(cho, b: np.ndarray, rng) -> np.ndarray:
-        """One draw from N(P^-1 b, P^-1), with `cho` the lower Cholesky
-        factor of P; `b` may hold several right-hand sides as columns."""
-        return sla.cho_solve(cho, b) + sla.solve_triangular(
-            cho[0].T, rng.standard_normal(b.shape), lower=False)
-
     def update_polya_gamma(self, state: ChainState, rng) -> None:
         theta = linear_predictor(self.X, state.beta, state.eta, state.lam)
         self.omega = pg_sample_array(self.trials, theta, rng)
@@ -397,14 +431,14 @@ class GibbsSampler:
         yw, prec = self.working(state)
         _, H_inv, _ = self.temporal_ops(state.psi)
         U_inv = np.linalg.inv(state.upsilon)
-        P = np.kron(H_inv, U_inv)
+        P = _kron(H_inv, U_inv)
         b = np.empty(self.T * k)
         r = yw - self.X @ state.beta
         for t in range(self.T):
             wl = prec[t][:, None] * state.lam
             P[t * k:(t + 1) * k, t * k:(t + 1) * k] += state.lam.T @ wl
             b[t * k:(t + 1) * k] = wl.T @ r[t]
-        draw = self._gaussian_draw(sla.cho_factor(P, lower=True), b, rng)
+        draw = _gaussian_draw(_cho_lower(P), b, rng)
         state.eta = draw.reshape(self.T, k)
 
     def update_regression(self, state: ChainState, rng) -> None:
@@ -418,12 +452,12 @@ class GibbsSampler:
             Xw = prec[t][:, None] * self.X[t]
             A += self.X[t].T @ Xw
             b += Xw.T @ r[t]
-        state.beta = self._gaussian_draw(sla.cho_factor(A, lower=True), b, rng)
+        state.beta = _gaussian_draw(_cho_lower(A), b, rng)
 
     def _column_stats(self, state, yw, prec, j):
         """Per-cell linear and quadratic likelihood terms for loading column j."""
         theta = linear_predictor(self.X, state.beta, state.eta, state.lam)
-        r = yw - theta + np.outer(state.eta[:, j], state.lam[:, j])
+        r = yw - theta + state.eta[:, j, None] * state.lam[:, j]
         A = ((prec * r) * state.eta[:, j][:, None]).sum(axis=0)
         B = (prec * (state.eta[:, j] ** 2)[:, None]).sum(axis=0)
         return A, B
@@ -438,7 +472,7 @@ class GibbsSampler:
         """kappa^-1 (x) F^-1: the prior precision of a stick field, and of a
         Gaussian loading column up to its tau_j."""
         F_prec, _, _ = self.spatial_ops(state.rho)
-        return np.kron(np.linalg.inv(state.kappa), F_prec)
+        return _kron(np.linalg.inv(state.kappa), F_prec)
 
     def _update_sticks(self, state: ChainState, rng) -> None:
         spec = self.spec
@@ -446,7 +480,8 @@ class GibbsSampler:
         tau = state.mgp.precisions()
         yw, prec = self.working(state)
         # the unit-variance latent probits add I to every field's prior precision
-        cho_P = sla.cho_factor(self._field_precision(state) + np.eye(self.N), lower=True)
+        cho_P = _cho_lower(self._field_precision(state) + np.eye(self.N))
+        cho_k = np.linalg.cholesky(state.kappa)
         cells = np.arange(self.N)
         for j in range(spec.k):
             A, B = self._column_stats(state, yw, prec, j)
@@ -456,11 +491,11 @@ class GibbsSampler:
                 u = rng.uniform(0.0, w[stick.xi[j] - 1, cells])
                 # double the stick streams with prior draws until no cell has
                 # unassigned mass above min(u); later sticks cannot be chosen
-                while w.sum(axis=0).min() <= 1.0 - u.min() \
-                        and alpha_j.shape[0] < _MAX_STICKS:
+                open_mass = 1.0 - u.min()
+                while w.sum(axis=0).min() <= open_mass and alpha_j.shape[0] < _MAX_STICKS:
                     extra = min(alpha_j.shape[0], _MAX_STICKS - alpha_j.shape[0])
                     alpha_j = np.vstack([alpha_j, self._draw_alpha_prior(
-                        state.kappa, state.rho, rng, extra)])
+                        cho_k, state.rho, rng, extra)])
                     theta_j = np.append(theta_j, rng.normal(
                         0.0, 1.0 / math.sqrt(tau[j]), size=extra))
                     w = stick_weights_matrix(alpha_j, closing=False)
@@ -470,7 +505,7 @@ class GibbsSampler:
                     logw = np.log(stick_weights_matrix(alpha_j, closing=True))
 
             # component indicators from likelihood-weighted mixture
-            loglik = np.outer(theta_j, A) - 0.5 * np.outer(theta_j ** 2, B)
+            loglik = theta_j[:, None] * A - 0.5 * ((theta_j ** 2)[:, None] * B)
             gumbel = -np.log(-np.log(rng.uniform(size=loglik.shape)))
             xi_j = np.argmax(loglik + logw + gumbel, axis=0) + 1
             # slice mode drops the sticks past the last occupied one: they stay
@@ -481,7 +516,7 @@ class GibbsSampler:
 
             z_j = self._sample_z(alpha_j, xi_j, rng)
             if z_j.shape[0]:
-                alpha_j = self._gaussian_draw(cho_P, z_j.T, rng).T
+                alpha_j = _gaussian_draw(cho_P, z_j.T, rng).T
 
             counts_B = np.bincount(xi_j - 1, weights=B, minlength=n_comp)
             sums_A = np.bincount(xi_j - 1, weights=A, minlength=n_comp)
@@ -501,7 +536,7 @@ class GibbsSampler:
         for j in range(self.spec.k):
             A, B = self._column_stats(state, yw, prec, j)
             P = tau[j] * K_prec + np.diag(B)
-            state.lam[:, j] = self._gaussian_draw(sla.cho_factor(P, lower=True), A, rng)
+            state.lam[:, j] = _gaussian_draw(_cho_lower(P), A, rng)
 
     def update_variance_components(self, state: ChainState, rng) -> None:
         spec = self.spec

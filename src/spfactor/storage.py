@@ -188,14 +188,17 @@ def write_draws_csv(path, draws: PosteriorDraws) -> None:
                    and (n != "xi" or draws.has_sticks)]
     arrays = [getattr(draws, name) for name in names]
     S = draws.n_draws
-    blocks = [a.reshape(S, math.prod(a.shape[1:])) for a in arrays]
+    widths = [math.prod(a.shape[1:]) for a in arrays]
+    blocks = [a.reshape(S, n) for a, n in zip(arrays, widths) if n]  # p = 0: no beta
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow([col for name, a in zip(names, arrays)
                       for col in _column_names(name, a.shape[1:])])
         # row by row, so only one row of Python numbers is alive at a time;
-        # csv writes a Python float as its repr, which is data.format_float
-        out.writerows([x for b in blocks for x in b[s].tolist()] for s in range(S))
+        # each number as csv.writer writes it: its repr, never quoted (for a
+        # float that is data.format_float)
+        for s in range(S):
+            fh.write(",".join([",".join(map(repr, b[s].tolist())) for b in blocks]) + "\r\n")
 
 
 def _column_names(name: str, shape: tuple) -> list[str]:

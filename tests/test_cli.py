@@ -129,6 +129,7 @@ def test_pipeline_and_determinism(tmp_path):
     assert main(["diagnose", "--config", str(dgcfg), "--output", str(out)]) == 0
     report = json.loads((out / "diagnostics.json").read_text())
     assert "waic" in report
+    assert "geweke_z.rho" not in report  # rho is fixed at 0.99 by default
 
     manifest = json.loads((tmp_path / "fit_a" / "manifest.json").read_text())
     assert manifest["seed"] == 7

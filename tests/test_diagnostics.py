@@ -100,6 +100,10 @@ def test_crps_gaussian_identity():
 def test_geweke_constant_chain():
     with pytest.raises(ZeroVariance):
         geweke_z(np.ones(100))
+    # 0.99 and 0.1 are not exact in binary: centring leaves rounding residues
+    for value in (0.99, 0.1):
+        with pytest.raises(ZeroVariance):
+            geweke_z(np.full(1000, value))
 
 
 def test_geweke_null_calibration():

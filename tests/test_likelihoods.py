@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr, ndtri_exp
 from scipy.stats import binom, ks_2samp, norm, truncnorm
 
 from spfactor.data import ObservationSet
@@ -254,6 +255,20 @@ def test_pg_gaussian_kernel_identity(rng):
     rhs = (np.exp(chi * t1) * np.mean(np.exp(-omega * t1 ** 2 / 2.0))
            / (np.exp(chi * t2) * np.mean(np.exp(-omega * t2 ** 2 / 2.0))))
     assert lhs == pytest.approx(rhs, rel=0.02)
+
+
+def test_truncated_normal_is_bit_identical_to_two_masked_passes():
+    gen = np.random.default_rng(21)
+    mean = np.concatenate([gen.normal(0.0, 3.0, 400), [-40.0, -30.5, 0.0, 30.5, 40.0]])
+    positive = gen.uniform(size=mean.size) < 0.5
+    positive[-5:] = [True, False, True, True, False]
+    got = truncated_normal(mean, positive, np.random.default_rng(8))
+    log_u = np.log(np.random.default_rng(8).uniform(size=mean.shape))
+    expect = np.empty_like(mean)
+    neg = ~positive
+    expect[neg] = mean[neg] + ndtri_exp(log_u[neg] + log_ndtr(-mean[neg]))
+    expect[positive] = mean[positive] - ndtri_exp(log_u[positive] + log_ndtr(mean[positive]))
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_truncated_normal_matches_reference(rng):

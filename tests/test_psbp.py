@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from spfactor.errors import DegenerateDenominator, IndicatorOutOfRange
@@ -45,6 +46,19 @@ def test_stick_weights_matrix_agrees_with_vector():
     W = stick_weights_matrix(alpha, closing=True)
     for c in range(7):
         assert np.allclose(W[:, c], stick_weights(alpha[:, c]))
+
+
+@pytest.mark.parametrize("n_sticks", [0, 1, 5])
+@pytest.mark.parametrize("closing", [True, False])
+def test_stick_weights_matrix_is_bit_identical_to_stacked_cumprod(n_sticks, closing):
+    alpha = np.random.default_rng(n_sticks).normal(0.0, 3.0, size=(n_sticks, 9))
+    v = ndtr(alpha)
+    remaining = np.cumprod(np.vstack([np.ones((1, 9)), 1.0 - v]), axis=0)
+    expect = np.vstack([v * remaining[:-1], remaining[-1:]]) if closing \
+        else v * remaining[:-1]
+    got = stick_weights_matrix(alpha, closing=closing)
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_mgp_precisions():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.special import digamma
 from scipy.stats import invwishart, kstest
 
@@ -45,6 +46,17 @@ def masked_dataset(T=3, m=3, seed=0):
     mask = np.ones((T, 1, m), dtype=bool)
     return ObservationSet(y=y, times=np.linspace(0.0, 1.0, T), spatial=sp,
                           missing_mask=mask)
+
+
+@pytest.mark.parametrize("name", ["kapa", "omega", "bogus"])
+def test_fixed_rejects_unknown_update(name):
+    with pytest.raises(ValueError, match=f"unknown update '{name}'"):
+        ModelSpec(k=1, fixed=frozenset({"kappa", name}))
+
+
+def test_fixed_accepts_every_update_the_sweep_checks():
+    every = ("loadings", "eta", "beta", "sigma2", "kappa", "upsilon", "delta", "rho", "psi")
+    assert ModelSpec(k=1, fixed=frozenset(every)).fixed == frozenset(every)
 
 
 # -- initialization -------------------------------------------------------------
@@ -234,6 +246,37 @@ def test_invwishart_rvs_matches_scipy(d):
     not_pd = -np.eye(d)
     with pytest.raises(np.linalg.LinAlgError):
         invwishart_rvs(d + 1.0, not_pd, meta)
+
+
+@pytest.mark.parametrize("n, rhs", [(52, ()), (52, (7,)), (1, ()), (1, (3,))])
+def test_gaussian_draw_is_bit_identical_to_scipy_solves(n, rhs):
+    gen = np.random.default_rng(n + len(rhs))
+    G = gen.standard_normal((n, n + 3))
+    P = G @ G.T + np.eye(n)
+    # column right-hand sides as the stick update passes them: a transposed view
+    b = gen.standard_normal((*rhs, n)).T
+    cho = sla.cho_factor(P, lower=True)
+    ref = np.random.default_rng(4)
+    expect = sla.cho_solve(cho, b) + sla.solve_triangular(
+        cho[0].T, ref.standard_normal(b.shape), lower=False)
+    ours = np.random.default_rng(4)
+    got = sampler_module._gaussian_draw(sampler_module._cho_lower(P), b, ours)
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+    assert ours.random() == ref.random()
+
+
+def test_gaussian_draw_rejects_bad_input():
+    P = np.array([[2.0, 0.5], [0.5, 1.0]])
+    bad = P.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        sampler_module._cho_lower(bad)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        sampler_module._gaussian_draw(sampler_module._cho_lower(P), np.array([1.0, np.inf]),
+                                      np.random.default_rng(0))
+    with pytest.raises(np.linalg.LinAlgError):
+        sampler_module._cho_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_kappa_reduces_to_inverse_gamma_for_single_type(rng):

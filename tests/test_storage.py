@@ -91,6 +91,23 @@ def test_draws_csv_has_named_scalars(tmp_path):
     assert float(body[0][eta_idx]) == draws.eta[0, 0, 0]
 
 
+def test_draws_csv_rows_are_what_csv_writer_writes(tmp_path):
+    draws = _small_draws()
+    draws.lam[0, 0, 0] = float("nan")
+    draws.lam[0, 1, 0] = -float("inf")
+    draws.eta[0, 0, 0] = 1e-300
+    path = tmp_path / "draws.csv"
+    write_draws_csv(path, draws)
+    names = ["chain", "iteration"] + [n for n in storage.DRAW_FIELDS
+                                      if n not in ("chain", "iteration")]
+    blocks = [getattr(draws, n).reshape(draws.n_draws, -1).tolist() for n in names]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        csv.writer(fh).writerows([v for b in blocks for v in b[s]]
+                                 for s in range(draws.n_draws))
+    assert path.read_bytes().split(b"\r\n", 1)[1] == ref.read_bytes()
+
+
 def _m4_dataset(T=3, m=2, O=2, seed=0):
     rng = np.random.default_rng(seed)
     return ObservationSet(y=rng.normal(size=(T, O, m)), times=np.linspace(0.0, 1.0, T),
