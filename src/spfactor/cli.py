@@ -406,11 +406,16 @@ def _cmd_diagnose(cfg: dict, outdir: str) -> None:
     }
     if draws.family == "gaussian":
         scalars["sigma2_mean"] = draws.sigma2.mean(axis=1)
-    for name, chain in scalars.items():
-        try:
-            entries[f"geweke_z.{name}"] = geweke_z(chain)
-        except (ZeroVariance, DegenerateDraws):
-            continue  # fixed parameters and short chains have no score
+    # each chain is scored on its own, so no score compares one chain's
+    # start with another's end
+    chains = np.unique(draws.chain)
+    for name, values in scalars.items():
+        for c in chains:
+            key = f"geweke_z.{name}" if chains.size == 1 else f"geweke_z.{name}.chain{c}"
+            try:
+                entries[key] = geweke_z(values[draws.chain == c])
+            except (ZeroVariance, DegenerateDraws):
+                continue  # fixed parameters and short chains have no score
     for name, rate in draws.acceptance.items():
         entries[f"acceptance.{name}"] = rate
     _write_report_pair(outdir, "diagnostics", entries)

@@ -5,7 +5,10 @@ kernel in the linear predictor after augmenting with omega ~ PG(n, theta):
 exp{-0.5*omega*(y* - theta)^2} with y* = (y - n/2)/omega.  PG(1, c) draws use
 the exact alternating-series accept/reject sampler, with the constants that
 depend on c computed once per cell and the series test taken in ratio form;
-integer shapes sum independent unit-shape draws in one bincount pass.
+integer shapes sum independent unit-shape draws in one bincount pass.  The
+accept/reject rounds run on index arrays: each random mask is turned into
+positions once, every proposal is written out and later rounds overwrite the
+rejected ones, which costs far less than boolean-mask indexing at these sizes.
 """
 
 from __future__ import annotations
@@ -76,10 +79,10 @@ def draw_observations(family: str, theta: np.ndarray, nuisance,
 # branch weight depend on the cell only, so they are computed once per cell
 # and indexed per unit draw.  The alternating-series test is divided by its
 # first coefficient: a_n(x) / a_0(x) = (2n+1) exp(-g n(n+1)), with g = 2/x for
-# x <= 0.64 and g = pi^2 x / 2 above, and x is accepted iff
-# U <= 1 - r_1 + r_2 - ..., decided at the first odd partial sum U falls
-# below or the first even one it exceeds.  PG(b, c) for integer b sums b
-# independent unit draws.
+# x <= 0.64 and g = pi^2 x / 2 above (g is computed per proposal branch), and x
+# is accepted iff U <= 1 - r_1 + r_2 - ..., decided at the first odd partial
+# sum U falls below or the first even one it exceeds.  PG(b, c) for integer b
+# sums b independent unit draws.
 
 _TRUNC = 0.64
 
@@ -100,55 +103,58 @@ def _texpon_weight(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
 
 
 def _rtinvgauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-Gaussian(mu=1/z, lambda=1) truncated to (0, TRUNC) for z >= 0."""
+    """Inverse-Gaussian(mu=1/z, lambda=1) truncated to (0, TRUNC) for z >= 0.
+
+    Each round writes every candidate to `out`; the rejected ones are
+    overwritten by a later round.
+    """
     t = _TRUNC
     out = np.empty_like(z)
     big = z < 1.0 / t  # mu > t: sample via the chi-square tail trick
-    half_z2 = 0.5 * z ** 2
-    idx = np.flatnonzero(big)
+    idx = big.nonzero()[0]
+    neg_half_z2 = -(0.5 * z[idx] ** 2)
     while idx.size:
         e1 = rng.standard_exponential(idx.size)
         e2 = rng.standard_exponential(idx.size)
         ok = e1 ** 2 <= 2.0 * e2 / t
         cand = t / (1.0 + t * e1) ** 2
-        alpha = np.exp(-half_z2[idx] * cand)
-        accept = ok & (rng.uniform(size=idx.size) <= alpha)
-        out[idx[accept]] = cand[accept]
-        idx = idx[~accept]
-    inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=~big)  # z may be 0 where big
-    idx = np.flatnonzero(~big)
+        alpha = np.exp(neg_half_z2 * cand)
+        out[idx] = cand
+        keep = (~(ok & (rng.uniform(size=idx.size) <= alpha))).nonzero()[0]
+        idx, neg_half_z2 = idx[keep], neg_half_z2[keep]
+    idx = (~big).nonzero()[0]
+    mu = 1.0 / z[idx]
     while idx.size:
-        mu = inv_z[idx]
         ysq = rng.standard_normal(idx.size) ** 2
         cand = mu + 0.5 * mu * mu * ysq - 0.5 * mu * np.sqrt(4.0 * mu * ysq + (mu * ysq) ** 2)
-        flip = rng.uniform(size=idx.size) > mu / (mu + cand)
+        flip = (rng.uniform(size=idx.size) > mu / (mu + cand)).nonzero()[0]
         cand[flip] = mu[flip] ** 2 / cand[flip]
-        accept = cand <= t
-        out[idx[accept]] = cand[accept]
-        idx = idx[~accept]
+        out[idx] = cand
+        keep = (~(cand <= t)).nonzero()[0]
+        idx, mu = idx[keep], mu[keep]
     return out
 
 
-def _series_accepts(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Devroye's alternating-series test of proposals x against uniforms u."""
-    g = np.where(x <= _TRUNC, 2.0 / x, 0.5 * np.pi ** 2 * x)
-    accepted = np.zeros(x.size, dtype=bool)
-    live = np.arange(x.size)
-    s = np.ones(x.size)
+def _series_rejects(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Ascending positions of the proposals that Devroye's alternating-series
+    test rejects, given each proposal's exponent g and uniform u."""
+    live = np.arange(g.size)  # the undecided proposals
+    s = 1.0  # partial sums of a_n / a_0
+    rejected = [live[:0]]
     n = 0
     while live.size:
         n += 1
         r = (2 * n + 1) * np.exp(-(n * (n + 1)) * g)
         if n % 2:
             s = s - r
-            done = u <= s
-            accepted[live[done]] = True
+            keep = (~(u <= s)).nonzero()[0]
         else:
             s = s + r
             done = u > s
-        keep = ~done
+            rejected.append(live[done])
+            keep = (~done).nonzero()[0]
         live, g, u, s = live[keep], g[keep], u[keep], s[keep]
-    return accepted
+    return np.sort(np.concatenate(rejected))
 
 
 def pg_sample(b: int, c: float, rng: np.random.Generator) -> float:
@@ -173,16 +179,22 @@ def pg_sample_array(b, c, rng: np.random.Generator) -> np.ndarray:
     pexp = _texpon_weight(z, fz)
     cell = np.repeat(np.arange(trials.size), trials)
     unit = np.empty(cell.size)
-    todo = np.arange(cell.size)
+    todo, ct = np.arange(cell.size), cell
     while todo.size:
-        ct = cell[todo]
         take_exp = rng.uniform(size=todo.size) < pexp[ct]
-        x = np.empty(todo.size)
-        x[take_exp] = _TRUNC + rng.standard_exponential(take_exp.sum()) / fz[ct[take_exp]]
-        x[~take_exp] = _rtinvgauss(z[ct[~take_exp]], rng)
-        accepted = _series_accepts(x, rng.uniform(size=todo.size))
-        unit[todo[accepted]] = x[accepted] / 4.0
-        todo = todo[~accepted]
+        ie, ii = take_exp.nonzero()[0], (~take_exp).nonzero()[0]
+        xe = _TRUNC + rng.standard_exponential(ie.size) / fz[ct[ie]]
+        xi = _rtinvgauss(z[ct[ii]], rng)
+        # every inverse-Gaussian proposal is <= TRUNC; an exponential one
+        # rounds to TRUNC when its draw is tiny against 1/fz
+        g = np.empty(todo.size)
+        g[ie] = np.where(xe <= _TRUNC, 2.0 / xe, 0.5 * np.pi ** 2 * xe)
+        g[ii] = 2.0 / xi
+        # write every proposal; later rounds overwrite the rejected ones
+        unit[todo[ie]] = xe / 4.0
+        unit[todo[ii]] = xi / 4.0
+        todo = todo[_series_rejects(g, rng.uniform(size=todo.size))]
+        ct = cell[todo]
     return np.bincount(cell, weights=unit, minlength=trials.size).reshape(c.shape)
 
 

@@ -26,7 +26,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.special import ndtr
 
 from .data import ObservationSet, validate
-from .errors import NonPositiveScale
+from .errors import NonPositiveScale, ValidationError
 from .kernels import (
     SpatialKernelSpec,
     TemporalKernelSpec,
@@ -230,6 +230,12 @@ class GibbsSampler:
             self.psi_range = spec.psi_bounds or psi_bounds(self.times)
         else:
             self.psi_range = (-1.0, 1.0)
+            gaps = np.abs(self.times[:, None] - self.times[None, :])
+            if (spec.psi is None or spec.psi < 0) and np.any(gaps % 1.0 != 0):
+                # psi ** gap is undefined for psi < 0 and a fractional gap
+                raise ValidationError(
+                    "temporal_kernel = ar1 needs integer time gaps unless psi is "
+                    "fixed at 0 or above; use temporal_kernel = exponential")
 
         # one kernel per correlation parameter: (value, *spatial_ops / temporal_ops)
         self._cache: dict[str, tuple | None] = {"rho": None, "psi": None}
@@ -805,25 +811,47 @@ def run_chain(spec: ModelSpec, data: ObservationSet, n_iter: int,
     return GibbsSampler(spec, data).run(n_iter, burn_in, thin, seed, init=init)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def run_chains(spec: ModelSpec, data: ObservationSet, n_iter: int,
                burn_in: int, thin: int, seed: int, chains: int = 1,
                threads: int = 1, init: ChainState | None = None,
                return_final: bool = False):
     """Run several chains with independent substreams and merge the draws.
 
-    With return_final, also hand back chain 0's final state (checkpointing).
+    With threads > 1 the chains run in a spawn-context process pool whose
+    workers run BLAS on one thread each; the draws equal a serial run's.  As
+    with any spawn pool, a calling script needs the `if __name__ ==
+    "__main__":` guard.  With return_final, also hand back chain 0's final
+    state (checkpointing).
     """
     from .storage import merge_draws
 
     seeds = [int(s.generate_state(1)[0]) for s in
              np.random.SeedSequence(seed).spawn(chains)]
     if threads > 1 and chains > 1:
+        import multiprocessing
+        import os
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(threads, chains)) as pool:
-            futures = [pool.submit(_run_one, spec, data, n_iter, burn_in, thin,
-                                   s, c, init) for c, s in enumerate(seeds)]
-            results = [f.result() for f in futures]
+        # a forked worker inherits a BLAS thread pool that is already running,
+        # so the chains fight over the cores; spawned workers read these
+        # variables when their BLAS loads and run it on one thread each
+        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            with ProcessPoolExecutor(max_workers=min(threads, chains),
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
+                futures = [pool.submit(_run_one, spec, data, n_iter, burn_in, thin,
+                                       s, c, init) for c, s in enumerate(seeds)]
+                results = [f.result() for f in futures]
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
     else:
         results = [_run_one(spec, data, n_iter, burn_in, thin, s, c, init)
                    for c, s in enumerate(seeds)]

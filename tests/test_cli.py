@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -8,7 +9,11 @@ import numpy as np
 import pytest
 
 from spfactor.cli import main, parse_config
+from spfactor.diagnostics import geweke_z
 from spfactor.errors import MissingRequired, UnknownKey
+from spfactor.storage import save_draws
+
+from conftest import make_draws
 
 
 def run_cli(args):
@@ -253,14 +258,41 @@ def _fit(tmp_path, sim_dir, extra):
     ("rho_prior = Uniform\n", "ValidationError"),
     ("psi_lo = 0.5\n", "MissingRequired"),
     ("psi_hi = 3.0\n", "MissingRequired"),
+    ("temporal_kernel = ar1\n", "ValidationError"),  # sim1 times are 1/3 apart
+    ("temporal_kernel = ar1\npsi_fixed = -0.5\n", "ValidationError"),
 ], ids=["unknown-prior", "no-kept-draws", "one-kept-draw", "no-chains",
         "unknown-spatial-kernel", "unknown-temporal-kernel",
         "unknown-kernel-without-spatial-loadings", "unknown-rho-prior",
-        "psi-lo-alone", "psi-hi-alone"])
+        "psi-lo-alone", "psi-hi-alone", "ar1-sampled-psi-fractional-gaps",
+        "ar1-negative-psi-fractional-gaps"])
 def test_fit_usage_errors_exit_2(tmp_path, sim_dir, capsys, extra, error):
     assert _fit(tmp_path, sim_dir, extra) == 2
     assert f"error: {error}:" in capsys.readouterr().err
     assert not (tmp_path / "fit" / "draws.bin").exists()
+
+
+def test_diagnose_scores_geweke_per_chain(tmp_path):
+    # two stationary chains at different levels: pooled, the first 10% is
+    # chain 0 and the last 50% chain 1, so only per-chain scores are fair
+    rng = np.random.default_rng(8)
+    n = 400
+    psi = np.concatenate([rng.normal(0.0, 1.0, n), rng.normal(5.0, 1.0, n)])
+    draws = dataclasses.replace(
+        make_draws(lam=np.zeros((2 * n, 4, 1)), psi=psi, rho=np.full(2 * n, 0.99),
+                   loglik=rng.normal(size=(4, 2 * n))),
+        chain=np.repeat([0, 1], n))
+    save_draws(tmp_path / "draws.bin", draws)
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(f"draws = {tmp_path}/draws.bin\nseed = 1\n")
+    assert main(["diagnose", "--config", str(cfg), "--output", str(tmp_path / "d")]) == 0
+    report = json.loads((tmp_path / "d" / "diagnostics.json").read_text())
+    assert abs(geweke_z(psi)) > 5.0
+    assert "geweke_z.psi" not in report
+    assert report["geweke_z.psi.chain0"] == geweke_z(psi[:n])
+    assert report["geweke_z.psi.chain1"] == geweke_z(psi[n:])
+    assert abs(report["geweke_z.psi.chain0"]) < 4.0
+    assert abs(report["geweke_z.psi.chain1"]) < 4.0
+    assert not any(key.startswith("geweke_z.rho") for key in report)  # fixed rho
 
 
 def test_half_psi_range_names_the_missing_key(tmp_path, sim_dir, capsys):

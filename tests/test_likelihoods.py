@@ -18,6 +18,7 @@ from spfactor.likelihoods import (
     pg_variance,
     truncated_normal,
 )
+from spfactor.likelihoods import _TRUNC, _texpon_weight
 from spfactor.sampler import GibbsSampler, ModelSpec
 
 from conftest import king_grid
@@ -240,6 +241,107 @@ def test_pg_matches_series_reference_by_ks():
         ref = _pg_series_reference(b, c, n, rng)
         # a correct sampler fails one cell with probability 1e-5, the grid < 1e-4
         assert ks_2samp(x, ref).pvalue > 1e-5, (b, c)
+
+
+# The boolean-mask Polya-Gamma sampler the index-array rounds replaced, kept
+# as the oracle: the rewrite must give the same draws from the same stream.
+
+
+def _reference_rtinvgauss(z, rng):
+    t = _TRUNC
+    out = np.empty_like(z)
+    big = z < 1.0 / t
+    half_z2 = 0.5 * z ** 2
+    idx = np.flatnonzero(big)
+    while idx.size:
+        e1 = rng.standard_exponential(idx.size)
+        e2 = rng.standard_exponential(idx.size)
+        ok = e1 ** 2 <= 2.0 * e2 / t
+        cand = t / (1.0 + t * e1) ** 2
+        alpha = np.exp(-half_z2[idx] * cand)
+        accept = ok & (rng.uniform(size=idx.size) <= alpha)
+        out[idx[accept]] = cand[accept]
+        idx = idx[~accept]
+    inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=~big)
+    idx = np.flatnonzero(~big)
+    while idx.size:
+        mu = inv_z[idx]
+        ysq = rng.standard_normal(idx.size) ** 2
+        cand = mu + 0.5 * mu * mu * ysq - 0.5 * mu * np.sqrt(4.0 * mu * ysq + (mu * ysq) ** 2)
+        flip = rng.uniform(size=idx.size) > mu / (mu + cand)
+        cand[flip] = mu[flip] ** 2 / cand[flip]
+        accept = cand <= t
+        out[idx[accept]] = cand[accept]
+        idx = idx[~accept]
+    return out
+
+
+def _reference_series_accepts(x, u):
+    g = np.where(x <= _TRUNC, 2.0 / x, 0.5 * np.pi ** 2 * x)
+    accepted = np.zeros(x.size, dtype=bool)
+    live = np.arange(x.size)
+    s = np.ones(x.size)
+    n = 0
+    while live.size:
+        n += 1
+        r = (2 * n + 1) * np.exp(-(n * (n + 1)) * g)
+        if n % 2:
+            s = s - r
+            done = u <= s
+            accepted[live[done]] = True
+        else:
+            s = s + r
+            done = u > s
+        keep = ~done
+        live, g, u, s = live[keep], g[keep], u[keep], s[keep]
+    return accepted
+
+
+def _reference_pg_sample_array(b, c, rng):
+    c = np.asarray(c, dtype=float)
+    trials = np.broadcast_to(np.asarray(b), c.shape).ravel().astype(np.int64)
+    z = np.abs(c.ravel()) / 2.0
+    fz = np.pi ** 2 / 8.0 + z ** 2 / 2.0
+    pexp = _texpon_weight(z, fz)
+    cell = np.repeat(np.arange(trials.size), trials)
+    unit = np.empty(cell.size)
+    todo = np.arange(cell.size)
+    while todo.size:
+        ct = cell[todo]
+        take_exp = rng.uniform(size=todo.size) < pexp[ct]
+        x = np.empty(todo.size)
+        x[take_exp] = _TRUNC + rng.standard_exponential(take_exp.sum()) / fz[ct[take_exp]]
+        x[~take_exp] = _reference_rtinvgauss(z[ct[~take_exp]], rng)
+        accepted = _reference_series_accepts(x, rng.uniform(size=todo.size))
+        unit[todo[accepted]] = x[accepted] / 4.0
+        todo = todo[~accepted]
+    return np.bincount(cell, weights=unit, minlength=trials.size).reshape(c.shape)
+
+
+_ORACLE = np.random.default_rng(2024)
+_ORACLE_CASES = {
+    "binom40-sized": (40, _ORACLE.normal(0.0, 1.5, 520)),
+    "large-c-both-signs": (1, np.concatenate([_ORACLE.uniform(-500.0, 500.0, 400),
+                                              [500.0, -500.0, 97.0, -96.0]])),
+    "c-zero": (3, np.zeros(60)),
+    "zero-and-mixed-trials": (_ORACLE.integers(0, 6, 300), _ORACLE.normal(0.0, 2.0, 300)),
+    "inverse-gaussian-z-branch": (2, _ORACLE.choice([-1.0, 1.0], 300)
+                                  * _ORACLE.uniform(3.2, 40.0, 300)),
+    "single-cell": (1, np.array([0.8])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pg_sample_array_matches_masked_reference(case, seed):
+    # same draws, bit for bit, and the generator left in the same state
+    b, c = _ORACLE_CASES[case]
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expect = _reference_pg_sample_array(b, c, ref_rng)
+    got = pg_sample_array(b, c, rng)
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_pg_gaussian_kernel_identity(rng):

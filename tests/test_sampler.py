@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -12,6 +15,7 @@ from spfactor.kernels import (
     spatial_correlation,
     temporal_correlation,
 )
+from spfactor.errors import ValidationError
 from spfactor.likelihoods import LikelihoodSpec
 from spfactor import sampler as sampler_module
 from spfactor.psbp import stick_weights_matrix
@@ -24,6 +28,7 @@ from spfactor.sampler import (
     invwishart_rvs,
     load_checkpoint,
     run_chain,
+    run_chains,
     save_checkpoint,
 )
 
@@ -453,6 +458,42 @@ def test_run_chain_bookkeeping():
     assert draws2.n_draws == 3
     assert np.array_equal(draws2.iteration, [6, 8, 10])
     assert draws2.loglik.shape == (data.T * data.n_cells, 3)
+
+
+def test_parallel_chains_match_serial(monkeypatch):
+    # the workers start in a spawn context with BLAS pinned to one thread;
+    # the caller's environment is left as it was
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    data = binomial_dataset()
+    spec = ModelSpec(k=1, likelihood=LikelihoodSpec("binomial"))
+    serial = run_chains(spec, data, 12, 2, 1, seed=6, chains=2, threads=1)
+    parallel = run_chains(spec, data, 12, 2, 1, seed=6, chains=2, threads=2)
+    assert dict(os.environ) == before
+    assert np.array_equal(parallel.chain, np.repeat([0, 1], 10))
+    for field in dataclasses.fields(serial):
+        a, b = getattr(serial, field.name), getattr(parallel, field.name)
+        if isinstance(a, list):
+            assert len(a) == len(b), field.name
+            assert all(np.array_equal(x, y) for x, y in zip(a, b)), field.name
+        elif isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_ar1_on_fractional_gaps_is_a_usage_error():
+    # psi ** gap is undefined for psi < 0 and a fractional gap, so a sampled
+    # or negative psi is refused up front instead of failing at some draw
+    data = gaussian_dataset()  # times 0.2 apart
+    for psi in (None, -0.3):
+        with pytest.raises(ValidationError, match="temporal_kernel"):
+            GibbsSampler(tiny_spec(temporal_kernel="ar1", psi=psi), data)
+    GibbsSampler(tiny_spec(temporal_kernel="ar1", psi=0.3), data)
+    whole = dataclasses.replace(data, times=np.arange(data.T, dtype=float))
+    draws = GibbsSampler(tiny_spec(temporal_kernel="ar1"), whole).run(6, seed=2)
+    assert np.all(np.abs(draws.psi) < 1.0)
 
 
 def test_memmapped_loglik_leaves_no_temp_file(tmp_path, monkeypatch):
