@@ -333,36 +333,64 @@ def _forecast_times(draws, horizon: int) -> np.ndarray:
 
 def _forecast(cfg: dict, draws, new_times: np.ndarray):
     """Posterior-predictive (values, probs) at `new_times`.  Binomial forecasts
-    use `future_trials` per cell when set, else the last observed totals."""
+    use `future_trials` per cell when set, else the last observed totals.  A
+    grid or total that the request rejects is a usage error."""
     trials = None
     if draws.family == "binomial" and cfg["future_trials"] is not None:
         trials = np.full((new_times.size, draws.n_cells), cfg["future_trials"])
-    request = PPDRequest(new_times=new_times, draws=draws, new_trials=trials)
+    try:
+        request = PPDRequest(new_times=new_times, draws=draws, new_trials=trials)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     return ppd_sample(request, seed=cfg["seed"])
 
 
-def _cmd_predict(cfg: dict, outdir: str) -> None:
-    draws = _load_fit(cfg)
+def _new_times(cfg: dict) -> np.ndarray | None:
+    """The `new_times` list, or None to forecast `horizon` visits."""
     if cfg["new_times"]:
-        new_times = np.array([float(v) for v in str(cfg["new_times"]).split(",")])
-    else:
-        new_times = _forecast_times(draws, cfg["horizon"])
-    values, probs = _forecast(cfg, draws, new_times)
+        try:
+            return np.array([float(v) for v in cfg["new_times"].split(",")])
+        except ValueError:
+            raise ValidationError(
+                f"new_times must be comma-separated numbers, got {cfg['new_times']!r}")
+    if cfg["horizon"] < 1:
+        raise ValidationError("horizon must be at least 1")
+    return None
+
+
+def _write_ppd_csv(path, new_times: np.ndarray, m: int, values: np.ndarray,
+                   probs: np.ndarray | None) -> None:
+    """ppd.csv: rows run draw, then time, then cell.  Each draw's rows are
+    joined from a key string built once per (time, cell) and the repr of
+    each value, which are the bytes csv.writer writes."""
     header = ["draw", "time_value", "type_id", "location_id", "value"]
     if probs is not None:
         header.append("prob")
-    # rows run draw, then time, then cell; csv writes floats as format_float
-    q, c = np.indices(values.shape[1:]).reshape(2, -1)
-    keys = [new_times[q], c // draws.m + 1, c % draws.m + 1]
+    keys = [f",{t!r},{c // m + 1},{c % m + 1}," for t in new_times.tolist()
+            for c in range(values.shape[2])]
 
-    def rows():
-        for s in range(values.shape[0]):
-            cols = [np.full(q.size, s + 1), *keys, values[s].ravel()]
-            if probs is not None:
-                cols.append(probs[s].ravel())
-            yield from zip(*(col.tolist() for col in cols))
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            for s in range(values.shape[0]):
+                draw, vals = s + 1, values[s].ravel().tolist()
+                if probs is None:
+                    rows = [f"{draw}{key}{v!r}\r\n" for key, v in zip(keys, vals)]
+                else:
+                    rows = [f"{draw}{key}{v!r},{p!r}\r\n"
+                            for key, v, p in zip(keys, vals, probs[s].ravel().tolist())]
+                fh.write("".join(rows))
 
-    _write_csv(os.path.join(outdir, "ppd.csv"), header, rows())
+    _atomic_write(path, write)
+
+
+def _cmd_predict(cfg: dict, outdir: str) -> None:
+    new_times = _new_times(cfg)
+    draws = _load_fit(cfg)
+    if new_times is None:
+        new_times = _forecast_times(draws, cfg["horizon"])
+    values, probs = _forecast(cfg, draws, new_times)
+    _write_ppd_csv(os.path.join(outdir, "ppd.csv"), new_times, draws.m, values, probs)
     _write_manifest(outdir, cfg, "predict")
 
 

@@ -125,6 +125,43 @@ def temporal_correlation(spec: TemporalKernelSpec,
     return _check_spd(H, NonPositiveDefinite, "temporal correlation H(psi)")
 
 
+def temporal_correlation_stack(kind: str, psi: np.ndarray,
+                               times: np.ndarray) -> np.ndarray:
+    """H(psi_s) for every entry of `psi` as one (S, T, T) stack, each matrix
+    the one `temporal_correlation` builds, after the same checks.  One
+    batched Cholesky checks that all are positive-definite; only if it fails
+    does each matrix take `_check_spd`'s jitter retry.  The fit calls
+    `temporal_correlation` once per psi and keeps the factor, so it stays
+    on its own code."""
+    for value in psi:
+        TemporalKernelSpec(kind, float(value))
+    times = np.asarray(times, dtype=float)
+    if times.size > 1 and np.any(np.diff(times) <= 0):
+        raise DuplicateTimes("times must be strictly increasing")
+    gaps = np.abs(times[:, None] - times[None, :])
+    psi = np.asarray(psi, dtype=float)[:, None, None]
+    if kind == "ar1":
+        with np.errstate(invalid="raise"):
+            try:
+                H = np.power(psi, gaps)
+            except FloatingPointError:
+                raise NonPositiveDefinite(
+                    "ar1 kernel with negative psi is undefined for non-integer gaps")
+    else:
+        H = np.exp(-psi * gaps)
+    n = times.size
+    H.reshape(-1, n * n)[:, ::n + 1] = 1.0
+    if n > 1 and np.abs(H[:, ~np.eye(n, dtype=bool)]).max() >= 1.0:
+        raise NonPositiveDefinite(
+            "degenerate temporal correlation: unit off-diagonal entries")
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        for s in range(H.shape[0]):
+            H[s] = _check_spd(H[s], NonPositiveDefinite, "temporal correlation H(psi)")[0]
+    return H
+
+
 def psi_bounds(times: np.ndarray) -> tuple[float, float]:
     """Uniform-prior bounds for the exponential temporal kernel.
 

@@ -823,8 +823,9 @@ def run_chains(spec: ModelSpec, data: ObservationSet, n_iter: int,
     With threads > 1 the chains run in a spawn-context process pool whose
     workers run BLAS on one thread each; the draws equal a serial run's.  As
     with any spawn pool, a calling script needs the `if __name__ ==
-    "__main__":` guard.  With return_final, also hand back chain 0's final
-    state (checkpointing).
+    "__main__":` guard; without it the workers die and this raises
+    RuntimeError.  With return_final, also hand back chain 0's final state
+    (checkpointing).
     """
     from .storage import merge_draws
 
@@ -834,6 +835,7 @@ def run_chains(spec: ModelSpec, data: ObservationSet, n_iter: int,
         import multiprocessing
         import os
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # a forked worker inherits a BLAS thread pool that is already running,
         # so the chains fight over the cores; spawned workers read these
@@ -846,6 +848,13 @@ def run_chains(spec: ModelSpec, data: ObservationSet, n_iter: int,
                 futures = [pool.submit(_run_one, spec, data, n_iter, burn_in, thin,
                                        s, c, init) for c, s in enumerate(seeds)]
                 results = [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            # the usual cause: each spawned worker re-runs the calling
+            # script, which starts the pool again while the worker boots
+            raise RuntimeError(
+                "a chain worker process died; with threads > 1 the script that "
+                "calls run_chains must do so under `if __name__ == \"__main__\":`, "
+                "because each spawned worker re-imports it") from exc
         finally:
             for name, value in saved.items():
                 if value is None:

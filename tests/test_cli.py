@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from spfactor.cli import main, parse_config
+from spfactor.cli import _write_ppd_csv, main, parse_config
 from spfactor.diagnostics import geweke_z
 from spfactor.errors import MissingRequired, UnknownKey
 from spfactor.storage import save_draws
@@ -269,6 +270,73 @@ def test_fit_usage_errors_exit_2(tmp_path, sim_dir, capsys, extra, error):
     assert _fit(tmp_path, sim_dir, extra) == 2
     assert f"error: {error}:" in capsys.readouterr().err
     assert not (tmp_path / "fit" / "draws.bin").exists()
+
+
+@pytest.fixture(scope="module")
+def fitted_draws(tmp_path_factory):
+    """Gaussian and binomial draws.bin files; the visits end at time 1.0."""
+    root = tmp_path_factory.mktemp("draws")
+    rng = np.random.default_rng(4)
+    for family in ("gaussian", "binomial"):
+        save_draws(root / f"{family}.bin",
+                   make_draws(lam=rng.normal(size=(5, 4, 1)), family=family,
+                              eta=rng.normal(size=(5, 3, 1)), rho=np.full(5, 0.99)))
+    return root
+
+
+@pytest.mark.parametrize("family, extra, message", [
+    ("gaussian", "horizon = 0\n", "horizon must be at least 1"),
+    ("gaussian", "horizon = -2\n", "horizon must be at least 1"),
+    ("gaussian", "new_times = a,b\n", "new_times must be comma-separated numbers"),
+    ("gaussian", "new_times = 0.5,0.6\n", "strictly after the last visit"),
+    ("gaussian", "new_times = 1.5,1.4\n", "strictly increasing"),
+    ("binomial", "future_trials = -3\n", "nonnegative integers"),
+    ("binomial", "future_trials = 2.5\n", "nonnegative integers"),
+], ids=["horizon-zero", "horizon-negative", "new-times-not-numbers",
+        "new-times-before-last-visit", "new-times-decreasing",
+        "future-trials-negative", "future-trials-fractional"])
+def test_predict_usage_errors_exit_2(tmp_path, fitted_draws, capsys, family, extra,
+                                     message):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"draws = {fitted_draws}/{family}.bin\nseed = 1\n" + extra)
+    assert main(["predict", "--config", str(cfg), "--output", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: ") and message in err
+    assert not (tmp_path / "p" / "ppd.csv").exists()
+
+
+def _csv_writer_ppd(path, new_times, m, values, probs):
+    """ppd.csv as csv.writer writes it: one list of Python numbers per row."""
+    header = ["draw", "time_value", "type_id", "location_id", "value"]
+    rows = []
+    for s in range(values.shape[0]):
+        for q, t in enumerate(new_times.tolist()):
+            for c in range(values.shape[2]):
+                row = [s + 1, t, c // m + 1, c % m + 1, values[s, q, c].item()]
+                if probs is not None:
+                    row.append(probs[s, q, c].item())
+                rows.append(row)
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header + (["prob"] if probs is not None else []))
+        out.writerows(rows)
+
+
+@pytest.mark.parametrize("with_probs", [False, True], ids=["gaussian", "binomial"])
+def test_ppd_csv_rows_are_what_csv_writer_writes(tmp_path, with_probs):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 1e-300, -1e300,
+               0.1, 1.0 / 3.0, 12345678901234567.0]
+    rng = np.random.default_rng(3)
+    S, Q, m, O = 3, 2, 4, 2
+    values = rng.normal(size=(S, Q, m * O))
+    values.flat[:len(special)] = special
+    probs = rng.uniform(size=values.shape) if with_probs else None
+    if with_probs:
+        probs.flat[-len(special):] = special
+    new_times = np.array([1.1 + 1.0 / 3.0, 2.0000000000000004])
+    _write_ppd_csv(tmp_path / "ours.csv", new_times, m, values, probs)
+    _csv_writer_ppd(tmp_path / "ref.csv", new_times, m, values, probs)
+    assert _bytes(tmp_path / "ours.csv") == _bytes(tmp_path / "ref.csv")
 
 
 def test_diagnose_scores_geweke_per_chain(tmp_path):

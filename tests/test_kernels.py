@@ -9,6 +9,7 @@ from spfactor.kernels import (
     psi_bounds,
     spatial_correlation,
     temporal_correlation,
+    temporal_correlation_stack,
 )
 
 from conftest import point_line
@@ -91,6 +92,34 @@ def test_exponential_zero_rate_flagged():
         psi = 1e-18
     with pytest.raises(NonPositiveDefinite):
         temporal_correlation(Loose, np.linspace(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("kind, psi, times", [
+    ("exponential", [0.4, 2.5, 0.4, 1e-9], np.array([0.0, 0.3, 1.0, 1.7])),
+    ("ar1", [0.6, -0.3, 0.0, 0.999], np.arange(5.0)),
+])
+def test_temporal_stack_equals_single_builds(kind, psi, times):
+    H = temporal_correlation_stack(kind, np.array(psi), times)
+    for s, value in enumerate(psi):
+        one = temporal_correlation(TemporalKernelSpec(kind, value), times)[0]
+        assert H[s].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("kind, psi, times, error", [
+    ("ar1", 1.2, np.arange(3.0), ValueError),
+    ("exponential", -1.0, np.arange(3.0), ValueError),
+    ("exponential", 0.5, np.array([0.0, 2.0, 1.0]), DuplicateTimes),
+    ("exponential", 0.5, np.array([0.0, 1.0, 1.0]), DuplicateTimes),
+    ("exponential", 1e-18, np.linspace(0.0, 1.0, 4), NonPositiveDefinite),
+    ("ar1", -0.5, np.array([0.0, 0.5, 1.0]), NonPositiveDefinite),
+], ids=["ar1-psi-out-of-range", "exponential-negative-psi", "unordered-times",
+        "repeated-time", "unit-off-diagonal", "ar1-negative-psi-fractional-gap"])
+def test_temporal_stack_makes_the_single_build_checks(kind, psi, times, error):
+    with pytest.raises(error):
+        temporal_correlation(TemporalKernelSpec(kind, psi), times)
+    with pytest.raises(error):
+        temporal_correlation_stack(kind, np.array([0.5 if kind == "ar1" else 1.0, psi]),
+                                   times)
 
 
 def test_ar1_screening_tridiagonal():

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -481,6 +483,32 @@ def test_parallel_chains_match_serial(monkeypatch):
             assert np.array_equal(a, b), field.name
         else:
             assert a == b, field.name
+
+
+_UNGUARDED_SCRIPT = """
+import numpy as np
+from spfactor.data import ObservationSet, SpatialStructure
+from spfactor.sampler import ModelSpec, run_chains
+
+spatial = SpatialStructure(kind="areal", adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
+data = ObservationSet(y=np.zeros((3, 1, 2)), times=np.arange(3.0), spatial=spatial)
+run_chains(ModelSpec(k=1), data, 4, 2, 1, seed=1, chains=2, threads=2)
+"""
+
+
+def test_parallel_chains_without_main_guard_name_the_guard(tmp_path):
+    # each spawned worker re-runs the unguarded script, whose own pool
+    # cannot start while the worker boots; two workers start and die
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED_SCRIPT)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("RuntimeError: a chain worker process died")
+    assert 'if __name__ == "__main__":' in last
 
 
 def test_ar1_on_fractional_gaps_is_a_usage_error():

@@ -1,14 +1,17 @@
 """The benchmark's tracer still finds every method and field it patches or reads.
 
-perfbench/tracing.py wraps sampler methods by name and reads `stick.L`
-from the state; a rename in the package would otherwise show only in a
-traced benchmark run.  This test reads perfbench/ and changes nothing there.
+perfbench/tracing.py wraps sampler methods and CLI imports by name and reads
+`stick.L` from the state; a rename in the package would otherwise show only
+in a traced benchmark run.  These tests read perfbench/ and change nothing
+there.
 """
 
 import importlib
 import os
 
-from spfactor.sampler import GibbsSampler, ModelSpec
+from spfactor.cli import main
+from spfactor.sampler import GibbsSampler, ModelSpec, run_chain
+from spfactor.storage import save_draws
 
 from conftest import gaussian_dataset
 
@@ -27,3 +30,20 @@ def test_tracer_resolves_its_targets_and_counts_stick_columns(monkeypatch):
         tracer.uninstall()
     assert tracer.counts[0]["sticks.columns"] == spec.k * 4
     assert tracer.counts[0]["sticks.sum"] >= spec.k * 4
+
+
+def test_tracer_records_the_predictive_pass_of_predict(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(os.path.abspath(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    draws = run_chain(ModelSpec(k=1), gaussian_dataset(), 12, burn_in=4, seed=2)
+    save_draws(tmp_path / "draws.bin", draws)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"draws = {tmp_path}/draws.bin\nhorizon = 2\nseed = 5\n")
+    tracer.install(0)
+    try:
+        assert main(["predict", "--config", str(cfg), "--output", str(tmp_path / "p")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracing.span_totals(tracer.spans, 0)["prediction.ppd"][0] == 1
+    assert tracer.counts[0]["prediction.draws"] == draws.n_draws == 8
