@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf
 
 from .data import SpatialStructure
 from .errors import (
@@ -61,6 +62,22 @@ class TemporalKernelSpec:
             raise ValueError(f"unknown temporal kernel {self.kind!r}")
 
 
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _cho_lower(P: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of P (upper triangle zeroed), as
+    `scipy.linalg.cholesky(P, lower=True)` computes it."""
+    _check_finite(P)
+    c, info = dpotrf(P, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
 def _check_spd(mat: np.ndarray, err: type[Exception],
                what: str) -> tuple[np.ndarray, np.ndarray]:
     """Return (mat, its lower Cholesky factor), with a one-shot diagonal jitter
@@ -97,45 +114,13 @@ def spatial_correlation(spec: SpatialKernelSpec,
     return _check_spd(F, NonPositiveDefinite, "exponential spatial correlation")
 
 
-def temporal_correlation(spec: TemporalKernelSpec,
-                         times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Build the T x T temporal correlation matrix H(psi); returns (H, its lower
-    Cholesky factor)."""
+def _temporal_matrices(kind: str, psi, times: np.ndarray) -> np.ndarray:
+    """H(psi_s) for every entry of `psi` as one (S, T, T) stack, after
+    checking that the times are strictly increasing and that no
+    off-diagonal entry is 1."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a vector")
-    if times.size > 1 and np.any(np.diff(times) <= 0):
-        raise DuplicateTimes("times must be strictly increasing")
-    gaps = np.abs(times[:, None] - times[None, :])
-    if spec.kind == "ar1":
-        with np.errstate(invalid="raise"):
-            try:
-                H = np.power(spec.psi, gaps)
-            except FloatingPointError:
-                raise NonPositiveDefinite(
-                    "ar1 kernel with negative psi is undefined for non-integer gaps")
-    else:
-        H = np.exp(-spec.psi * gaps)
-    np.fill_diagonal(H, 1.0)
-    if times.size > 1:
-        off = np.abs(H[~np.eye(times.size, dtype=bool)])
-        if off.size and off.max() >= 1.0:
-            raise NonPositiveDefinite(
-                "degenerate temporal correlation: unit off-diagonal entries")
-    return _check_spd(H, NonPositiveDefinite, "temporal correlation H(psi)")
-
-
-def temporal_correlation_stack(kind: str, psi: np.ndarray,
-                               times: np.ndarray) -> np.ndarray:
-    """H(psi_s) for every entry of `psi` as one (S, T, T) stack, each matrix
-    the one `temporal_correlation` builds, after the same checks.  One
-    batched Cholesky checks that all are positive-definite; only if it fails
-    does each matrix take `_check_spd`'s jitter retry.  The fit calls
-    `temporal_correlation` once per psi and keeps the factor, so it stays
-    on its own code."""
-    for value in psi:
-        TemporalKernelSpec(kind, float(value))
-    times = np.asarray(times, dtype=float)
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise DuplicateTimes("times must be strictly increasing")
     gaps = np.abs(times[:, None] - times[None, :])
@@ -154,6 +139,26 @@ def temporal_correlation_stack(kind: str, psi: np.ndarray,
     if n > 1 and np.abs(H[:, ~np.eye(n, dtype=bool)]).max() >= 1.0:
         raise NonPositiveDefinite(
             "degenerate temporal correlation: unit off-diagonal entries")
+    return H
+
+
+def temporal_correlation(spec: TemporalKernelSpec,
+                         times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Build the T x T temporal correlation matrix H(psi); returns (H, its lower
+    Cholesky factor)."""
+    H = _temporal_matrices(spec.kind, [spec.psi], times)[0]
+    return _check_spd(H, NonPositiveDefinite, "temporal correlation H(psi)")
+
+
+def temporal_correlation_stack(kind: str, psi: np.ndarray,
+                               times: np.ndarray) -> np.ndarray:
+    """H(psi_s) for every entry of `psi` as one (S, T, T) stack, each matrix
+    the one `temporal_correlation` returns.  One batched Cholesky checks
+    that all are positive-definite; only if it fails does each matrix take
+    `_check_spd`'s jitter retry."""
+    for value in psi:
+        TemporalKernelSpec(kind, float(value))
+    H = _temporal_matrices(kind, psi, times)
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:

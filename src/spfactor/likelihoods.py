@@ -41,9 +41,11 @@ def linear_predictor(X: np.ndarray, beta: np.ndarray, eta: np.ndarray,
     """theta = X beta + eta Lambda^T for all visits at once.
 
     X is (T, N, p), beta (p,), eta (T, k) and lam (N, k); the result is
-    (T, N).  With p = 0 the first term is zero.
+    (T, N).  With p = 0 the first term is zero.  beta (S, p), eta (S, T, k)
+    and lam (S, N, k) give every draw's (S, T, N) at once, each equal to its
+    own one-draw result.
     """
-    return X @ beta + eta @ lam.T
+    return (X @ beta[..., None, :, None])[..., 0] + eta @ lam.mT
 
 
 def log_density(family: str, y, theta, nuisance) -> np.ndarray:

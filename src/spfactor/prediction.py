@@ -15,8 +15,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrs
 
 from .errors import DimensionMismatch, NonPositiveDefinite
-from .kernels import temporal_correlation_stack
-from .sampler import _cho_lower
+from .kernels import _cho_lower, temporal_correlation_stack
+from .likelihoods import draw_observations, linear_predictor
 from .storage import PosteriorDraws
 
 
@@ -135,18 +135,12 @@ def ppd_sample(request: PPDRequest, seed: int = 0):
     for s, rng in enumerate(rngs):
         rng.standard_normal(out=z[s])
     eta_new = mean + cho_t @ z @ cho_u.transpose(0, 2, 1)
-    # linear_predictor of every draw: X beta[s] + eta_new[s] lam[s]^T
-    theta = (request.new_covariates @ draws.beta[:, None, :, None])[..., 0] \
-        + eta_new @ draws.lam.transpose(0, 2, 1)
-    # draw_observations of every draw, each reading its own generator
-    if draws.family == "gaussian":
-        noise = np.empty_like(theta)
-        for s, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[s])
-        return theta + noise * np.sqrt(draws.sigma2[:, None, :]), None
-    probs = 1.0 / (1.0 + np.exp(-theta))
-    trials = request.new_trials.astype(int)
+    theta = linear_predictor(request.new_covariates, draws.beta, eta_new, draws.lam)
     values = np.empty_like(theta)
+    probs = None if draws.family == "gaussian" else np.empty_like(theta)
     for s, rng in enumerate(rngs):
-        values[s] = rng.binomial(trials, probs[s])
+        nuisance = draws.sigma2[s][None, :] if probs is None else request.new_trials
+        values[s], pi = draw_observations(draws.family, theta[s], nuisance, rng)
+        if probs is not None:
+            probs[s] = pi
     return values, probs

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrmm, dtrsm
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.special import ndtr
 
 from .data import ObservationSet, validate
@@ -30,6 +30,8 @@ from .errors import NonPositiveScale, ValidationError
 from .kernels import (
     SpatialKernelSpec,
     TemporalKernelSpec,
+    _check_finite,
+    _cho_lower,
     psi_bounds,
     spatial_correlation,
     temporal_correlation,
@@ -60,22 +62,6 @@ _LOGLIK_MEMMAP_CELLS = 10_000_000  # larger loglik matrices go to an unlinked te
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two matrices: the same products, without its shape handling."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
-
-
-def _check_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
-def _cho_lower(P: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of P (upper triangle zeroed), as
-    `scipy.linalg.cholesky(P, lower=True)` computes it."""
-    _check_finite(P)
-    c, info = dpotrf(P, lower=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    return c
 
 
 def _gaussian_draw(c: np.ndarray, b: np.ndarray, rng) -> np.ndarray:

@@ -95,6 +95,20 @@ def test_exponential_zero_rate_flagged():
 
 
 @pytest.mark.parametrize("kind, psi, times", [
+    ("exponential", [0.4, 2.5], np.array([0.0, 0.3, 1.0, 1.7])),
+    ("ar1", [0.6, -0.3, 0.0], np.arange(5.0)),
+])
+def test_temporal_correlation_is_the_kernel_formula(kind, psi, times):
+    # the fit's H(psi), bit for bit, whatever builds it
+    gaps = np.abs(times[:, None] - times[None, :])
+    for value in psi:
+        want = np.power(value, gaps) if kind == "ar1" else np.exp(-value * gaps)
+        np.fill_diagonal(want, 1.0)
+        got = temporal_correlation(TemporalKernelSpec(kind, value), times)[0]
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind, psi, times", [
     ("exponential", [0.4, 2.5, 0.4, 1e-9], np.array([0.0, 0.3, 1.0, 1.7])),
     ("ar1", [0.6, -0.3, 0.0, 0.999], np.arange(5.0)),
 ])

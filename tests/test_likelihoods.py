@@ -49,6 +49,19 @@ def test_linear_predictor_matches_per_visit_loop(rng, p):
     assert np.allclose(theta, loop, rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_linear_predictor_over_draws_is_each_draws(rng, p):
+    S, T, N, k = 5, 3, 7, 2
+    X, beta = rng.normal(size=(T, N, p)), rng.normal(size=(S, p))
+    eta, lam = rng.normal(size=(S, T, k)), rng.normal(size=(S, N, k))
+    theta = linear_predictor(X, beta, eta, lam)
+    assert theta.shape == (S, T, N)
+    for s in range(S):
+        one = linear_predictor(X, beta[s], eta[s], lam[s])
+        assert theta[s].tobytes() == one.tobytes()
+        assert one.tobytes() == (X @ beta[s] + eta[s] @ lam[s].T).tobytes()
+
+
 def test_linear_predictor_dimension_mismatch():
     # shape errors are numpy's own
     with pytest.raises(ValueError):
