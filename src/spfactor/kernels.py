@@ -134,11 +134,12 @@ def _temporal_matrices(kind: str, psi, times: np.ndarray) -> np.ndarray:
                     "ar1 kernel with negative psi is undefined for non-integer gaps")
     else:
         H = np.exp(-psi * gaps)
-    n = times.size
-    H.reshape(-1, n * n)[:, ::n + 1] = 1.0
-    if n > 1 and np.abs(H[:, ~np.eye(n, dtype=bool)]).max() >= 1.0:
+    diagonal = H.reshape(-1, times.size ** 2)[:, ::times.size + 1]
+    diagonal[:] = 0.0
+    if times.size > 1 and np.abs(H).max() >= 1.0:
         raise NonPositiveDefinite(
             "degenerate temporal correlation: unit off-diagonal entries")
+    diagonal[:] = 1.0
     return H
 
 
