@@ -134,7 +134,7 @@ def _temporal_matrices(kind: str, psi, times: np.ndarray) -> np.ndarray:
                     "ar1 kernel with negative psi is undefined for non-integer gaps")
     else:
         H = np.exp(-psi * gaps)
-    diagonal = H.reshape(-1, times.size ** 2)[:, ::times.size + 1]
+    diagonal = H.reshape(len(H), times.size ** 2)[:, ::times.size + 1]
     diagonal[:] = 0.0
     if times.size > 1 and np.abs(H).max() >= 1.0:
         raise NonPositiveDefinite(
