@@ -353,9 +353,14 @@ def _new_times(cfg: dict) -> np.ndarray | None:
         except ValueError:
             raise ValidationError(
                 f"new_times must be comma-separated numbers, got {cfg['new_times']!r}")
+    return None
+
+
+def _horizon(cfg: dict) -> int:
+    """The number of visits to forecast; below 1 is a usage error."""
     if cfg["horizon"] < 1:
         raise ValidationError("horizon must be at least 1")
-    return None
+    return cfg["horizon"]
 
 
 def _write_ppd_csv(path, new_times: np.ndarray, m: int, values: np.ndarray,
@@ -388,7 +393,7 @@ def _cmd_predict(cfg: dict, outdir: str) -> None:
     new_times = _new_times(cfg)
     draws = _load_fit(cfg)
     if new_times is None:
-        new_times = _forecast_times(draws, cfg["horizon"])
+        new_times = _forecast_times(draws, _horizon(cfg))
     values, probs = _forecast(cfg, draws, new_times)
     _write_ppd_csv(os.path.join(outdir, "ppd.csv"), new_times, draws.m, values, probs)
     _write_manifest(outdir, cfg, "predict")
@@ -403,7 +408,7 @@ def _cmd_cluster(cfg: dict, outdir: str) -> None:
         raise TypeError("trend must be none, lower, or upper")
     ppd_values = ppd_times = None
     if side != "none":
-        ppd_times = _forecast_times(draws, max(3, cfg["horizon"]))
+        ppd_times = _forecast_times(draws, max(3, _horizon(cfg)))
         ppd_values, _ = _forecast(cfg, draws, ppd_times)
     summary = summarize_clusters(draws, K_max=cfg["kmax"], B=cfg["gap_refs"],
                                  seed=cfg["seed"], restarts=cfg["kmeans_restarts"],

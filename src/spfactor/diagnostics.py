@@ -88,20 +88,13 @@ def geweke_z(chain: np.ndarray, frac_a: float = 0.1, frac_b: float = 0.5) -> flo
 
 def write_report(path_txt, path_json, entries: dict) -> None:
     """Flat key/value diagnostics report, text and JSON flavors."""
-    flat = {}
-    for key, val in entries.items():
-        if isinstance(val, dict):
-            for k2, v2 in val.items():
-                flat[f"{key}.{k2}"] = v2
-        else:
-            flat[key] = val
     with open(path_txt, "w") as fh:
-        for key in sorted(flat):
-            val = flat[key]
+        for key in sorted(entries):
+            val = entries[key]
             if isinstance(val, float):
                 fh.write(f"{key} = {format_float(val)}\n")
             else:
                 fh.write(f"{key} = {val}\n")
     with open(path_json, "w") as fh:
-        json.dump(flat, fh, sort_keys=True, indent=1)
+        json.dump(entries, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -1,12 +1,17 @@
 """Gibbs sampler over all model unknowns.
 
-One sweep scans the full conditionals in a fixed order: omega (binomial) ->
-loading columns (xi, alpha, theta per column) -> eta -> beta -> sigma2
--> kappa -> Upsilon -> delta -> rho -> psi.  Both likelihood families reduce
-to a Gaussian working response with a per-cell diagonal precision (1/sigma2
-for Gaussian data, the Polya-Gamma draw for binomial), so every conditional
-except rho/psi is conjugate; those two use adaptive random-walk Metropolis
-on a transformed scale, tuned during burn-in only.
+One sweep scans the full conditionals in a fixed order: omega -> loading
+columns (xi, alpha, theta per column) -> eta -> beta -> sigma2 -> kappa ->
+Upsilon -> delta -> rho -> psi.  Five of them depend on the model: omega is
+drawn for binomial data only, sigma2 for Gaussian data only, beta only when
+there are covariates, rho only when it is free (rho_prior = uniform) and the
+loadings are spatial, and psi only when it is not fixed.
+
+Both likelihood families reduce to a Gaussian working response with a
+per-cell diagonal precision (1/sigma2 for Gaussian data, the Polya-Gamma draw
+for binomial), so every conditional except rho/psi is conjugate; those two
+use adaptive random-walk Metropolis on a transformed scale, tuned during
+burn-in only.
 
 The Gaussian conditionals factorise and solve through LAPACK's potrf, potrs
 and trtrs directly: at this model's sizes scipy.linalg's validation and
@@ -54,7 +59,6 @@ _CHOICES = {  # the values each ModelSpec menu setting accepts
     "temporal_kernel": ("exponential", "ar1"),
     "rho_prior": ("fixed", "uniform"),
 }
-_UPDATES = ("loadings", "eta", "beta", "sigma2", "kappa", "upsilon", "delta", "rho", "psi")
 _MAX_STICKS = 256
 _LOGLIK_MEMMAP_CELLS = 10_000_000  # larger loglik matrices go to an unlinked temp file
 
@@ -97,15 +101,20 @@ def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np
     return np.ascontiguousarray(dtrmm(1.0, CA, CA, side=1, lower=True, trans_a=True))
 
 
+def _iw_prior(df, scale, d: int) -> tuple[float, np.ndarray]:
+    """Inverse-Wishart prior of a d x d matrix: df defaults to d + 1 and the
+    scale to I_d, and a scalar scale s means s I_d."""
+    scale = np.asarray(1.0 if scale is None else scale, dtype=float)
+    return (d + 1 if df is None else df), (scale * np.eye(d) if scale.ndim == 0 else scale)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Everything that defines the model besides the data: truncation,
     kernels, prior menu, and hyperparameters.
 
     L=None selects the slice-sampled infinite mixture; an integer fixes a
-    finite truncation.  `fixed` names updates to skip, from `_UPDATES`
-    (useful for conjugate micro-tests); rho is also held when
-    rho_prior == "fixed".
+    finite truncation.  rho is held at `rho` when rho_prior == "fixed".
     """
 
     k: int
@@ -131,12 +140,8 @@ class ModelSpec:
     upsilon_scale: float | np.ndarray | None = None  # default I_k
     beta_prior_var: float = 1000.0
     pool_sigma2: bool = False
-    fixed: frozenset = frozenset()
 
     def __post_init__(self):
-        for name in sorted(self.fixed):
-            if name not in _UPDATES:
-                raise ValueError(f"unknown update {name!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.L is not None and self.L < 1:
@@ -203,14 +208,9 @@ class GibbsSampler:
         self.trials = data.stacked_trials()
         self.X = data.stacked_covariates()
 
-        self.kappa_df = spec.kappa_df if spec.kappa_df is not None else self.O + 1
-        ks = spec.kappa_scale if spec.kappa_scale is not None else np.eye(self.O)
-        self.kappa_scale = np.atleast_2d(np.asarray(ks, dtype=float)) * np.eye(self.O) \
-            if np.ndim(ks) == 0 else np.asarray(ks, dtype=float)
-        self.upsilon_df = spec.upsilon_df if spec.upsilon_df is not None else spec.k + 1
-        us = spec.upsilon_scale if spec.upsilon_scale is not None else np.eye(spec.k)
-        self.upsilon_scale = np.asarray(us, dtype=float) * np.eye(spec.k) \
-            if np.ndim(us) == 0 else np.asarray(us, dtype=float)
+        self.kappa_df, self.kappa_scale = _iw_prior(spec.kappa_df, spec.kappa_scale, self.O)
+        self.upsilon_df, self.upsilon_scale = _iw_prior(
+            spec.upsilon_df, spec.upsilon_scale, spec.k)
 
         if spec.temporal_kernel == "exponential":
             self.psi_range = spec.psi_bounds or psi_bounds(self.times)
@@ -531,27 +531,27 @@ class GibbsSampler:
             state.lam[:, j] = _gaussian_draw(_cho_lower(P), A, rng)
 
     def update_variance_components(self, state: ChainState, rng) -> None:
+        if self.spec.likelihood.family == "gaussian":
+            self._update_sigma2(state, rng)
+        self._update_kappa(state, rng)
+        self._update_upsilon(state, rng)
+        self._update_delta(state, rng)
+
+    def _update_sigma2(self, state: ChainState, rng) -> None:
         spec = self.spec
-        if spec.likelihood.family == "gaussian" and "sigma2" not in spec.fixed:
-            resid = self.y - linear_predictor(self.X, state.beta, state.eta, state.lam)
-            ssq = ((resid ** 2) * self.obs).sum(axis=0)
-            cnt = self.obs.sum(axis=0)
-            if spec.pool_sigma2:
-                shape = spec.sigma2_a + cnt.sum() / 2.0
-                rate = spec.sigma2_b + ssq.sum() / 2.0
-                state.sigma2 = np.full(self.N, 1.0 / rng.gamma(shape, 1.0 / rate))
-            else:
-                shape = spec.sigma2_a + cnt / 2.0
-                rate = spec.sigma2_b + ssq / 2.0
-                state.sigma2 = 1.0 / rng.gamma(shape, 1.0 / rate)
-            if np.any(state.sigma2 <= 0):
-                raise NonPositiveScale("sigma2 draw collapsed to zero")
-        if "kappa" not in spec.fixed:
-            self._update_kappa(state, rng)
-        if "upsilon" not in spec.fixed:
-            self._update_upsilon(state, rng)
-        if "delta" not in spec.fixed:
-            self._update_delta(state, rng)
+        resid = self.y - linear_predictor(self.X, state.beta, state.eta, state.lam)
+        ssq = ((resid ** 2) * self.obs).sum(axis=0)
+        cnt = self.obs.sum(axis=0)
+        if spec.pool_sigma2:
+            shape = spec.sigma2_a + cnt.sum() / 2.0
+            rate = spec.sigma2_b + ssq.sum() / 2.0
+            state.sigma2 = np.full(self.N, 1.0 / rng.gamma(shape, 1.0 / rate))
+        else:
+            shape = spec.sigma2_a + cnt / 2.0
+            rate = spec.sigma2_b + ssq / 2.0
+            state.sigma2 = 1.0 / rng.gamma(shape, 1.0 / rate)
+        if np.any(state.sigma2 <= 0):
+            raise NonPositiveScale("sigma2 draw collapsed to zero")
 
     def _spatial_quads(self, state, F_prec) -> tuple[np.ndarray, np.ndarray]:
         """B F^-1 B^T, shape (n, O, O), for every stick field (or loading
@@ -654,11 +654,10 @@ class GibbsSampler:
 
     def update_correlation_parameters(self, state: ChainState, rng) -> None:
         spec = self.spec
-        if (spec.spatial_loadings and spec.rho_prior == "uniform"
-                and "rho" not in spec.fixed):
+        if spec.spatial_loadings and spec.rho_prior == "uniform":
             state.rho = self._metropolis("rho", state, state.rho, spec.rho_bounds,
                                          self._rho_logtarget, rng)
-        if spec.psi is None and "psi" not in spec.fixed:
+        if spec.psi is None:
             state.psi = self._metropolis("psi", state, state.psi, self.psi_range,
                                          self._psi_logtarget, rng)
 
@@ -673,15 +672,11 @@ class GibbsSampler:
     # -- sweep and chain --------------------------------------------------------
 
     def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
-        spec = self.spec
-        if spec.likelihood.family == "binomial":
+        if self.spec.likelihood.family == "binomial":
             self.update_polya_gamma(state, rng)
-        if "loadings" not in spec.fixed:
-            self.update_loadings_block(state, rng)
-        if "eta" not in spec.fixed:
-            self.update_factors(state, rng)
-        if "beta" not in spec.fixed:
-            self.update_regression(state, rng)
+        self.update_loadings_block(state, rng)
+        self.update_factors(state, rng)
+        self.update_regression(state, rng)
         self.update_variance_components(state, rng)
         self.update_correlation_parameters(state, rng)
 

@@ -145,18 +145,20 @@ def test_criterion_4_conjugate_and_prior_recovery():
     y = np.array([0.4, -0.9, 1.2, 0.1]).reshape(4, 1, 1)
     data = ObservationSet(y=y, times=np.linspace(0, 1, 4), spatial=point_line(1))
     spec = ModelSpec(k=1, L=1, spatial_kernel="exponential-gp", rho=1.0,
-                     sigma2_a=4.0, sigma2_b=2.0,
-                     fixed=frozenset({"eta", "loadings", "beta", "kappa",
-                                      "upsilon", "delta", "psi"}))
+                     sigma2_a=4.0, sigma2_b=2.0)
     sampler = GibbsSampler(spec, data)
     state = sampler.init_state(rng)
-    draws = sampler.run(10000, burn_in=0, thin=1, seed=404, init=state)
+    # sigma2's conditional alone, every other unknown held at its initial draw
+    x = np.empty(10000)
+    draw_rng = np.random.default_rng(404)
+    for s in range(x.size):
+        sampler._update_sigma2(state, draw_rng)
+        x[s] = state.sigma2[0]
     resid = y[:, 0, 0] - state.lam[0, 0] * state.eta[:, 0]
     a_post = 4.0 + 2.0
     b_post = 2.0 + 0.5 * float(resid @ resid)
     an_mean = b_post / (a_post - 1.0)
     an_var = b_post ** 2 / ((a_post - 1.0) ** 2 * (a_post - 2.0))
-    x = draws.sigma2[:, 0]
     S = x.size
     se_mean = np.sqrt(an_var / S)
     assert abs(x.mean() - an_mean) < 3 * se_mean

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from spfactor import cli
 from spfactor.cli import _write_ppd_csv, main, parse_config
 from spfactor.diagnostics import geweke_z
 from spfactor.errors import MissingRequired, UnknownKey
@@ -303,6 +304,36 @@ def test_predict_usage_errors_exit_2(tmp_path, fitted_draws, capsys, family, ext
     err = capsys.readouterr().err
     assert err.startswith("error: ValidationError: ") and message in err
     assert not (tmp_path / "p" / "ppd.csv").exists()
+
+
+@pytest.mark.parametrize("trend, horizon", [("lower", 0), ("upper", -2)])
+def test_cluster_trend_usage_errors_exit_2(tmp_path, fitted_draws, capsys, trend,
+                                           horizon):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"draws = {fitted_draws}/gaussian.bin\nseed = 1\n"
+                   f"trend = {trend}\nhorizon = {horizon}\n")
+    assert main(["cluster", "--config", str(cfg), "--output", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValidationError: ") and "horizon must be at least 1" in err
+    assert not (tmp_path / "c" / "clusters.csv").exists()
+
+
+@pytest.mark.parametrize("trend, horizon, visits", [
+    ("lower", 1, [3]), ("upper", 2, [3]), ("lower", 4, [4]), ("none", -2, [])])
+def test_cluster_forecasts_at_least_3_visits(tmp_path, fitted_draws, monkeypatch,
+                                             trend, horizon, visits):
+    forecast, forecasts = cli._forecast, []
+
+    def recorded(cfg, draws, new_times):
+        forecasts.append(new_times.size)
+        return forecast(cfg, draws, new_times)
+
+    monkeypatch.setattr(cli, "_forecast", recorded)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"draws = {fitted_draws}/gaussian.bin\nseed = 1\ngap_refs = 2\n"
+                   f"trend = {trend}\nhorizon = {horizon}\n")
+    assert main(["cluster", "--config", str(cfg), "--output", str(tmp_path / "c")]) == 0
+    assert forecasts == visits
 
 
 def _csv_writer_ppd(path, new_times, m, values, probs):

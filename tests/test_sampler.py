@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import os
 import subprocess
@@ -20,6 +21,7 @@ from spfactor.kernels import (
 from spfactor.errors import ValidationError
 from spfactor.likelihoods import LikelihoodSpec
 from spfactor import sampler as sampler_module
+from spfactor import simulation
 from spfactor.psbp import stick_weights_matrix
 from spfactor.storage import write_container
 from spfactor.sampler import (
@@ -53,17 +55,6 @@ def masked_dataset(T=3, m=3, seed=0):
     mask = np.ones((T, 1, m), dtype=bool)
     return ObservationSet(y=y, times=np.linspace(0.0, 1.0, T), spatial=sp,
                           missing_mask=mask)
-
-
-@pytest.mark.parametrize("name", ["kapa", "omega", "bogus"])
-def test_fixed_rejects_unknown_update(name):
-    with pytest.raises(ValueError, match=f"unknown update '{name}'"):
-        ModelSpec(k=1, fixed=frozenset({"kappa", name}))
-
-
-def test_fixed_accepts_every_update_the_sweep_checks():
-    every = ("loadings", "eta", "beta", "sigma2", "kappa", "upsilon", "delta", "rho", "psi")
-    assert ModelSpec(k=1, fixed=frozenset(every)).fixed == frozenset(every)
 
 
 # -- initialization -------------------------------------------------------------
@@ -220,8 +211,7 @@ def test_sigma2_zero_residual_ig(rng):
     sp = king_grid(1, m)
     data = ObservationSet(y=np.zeros((10, 1, m)), times=np.linspace(0, 1, 10),
                           spatial=sp)
-    spec = tiny_spec(sigma2_a=1.0, sigma2_b=1.0,
-                     fixed=frozenset({"kappa", "upsilon", "delta"}))
+    spec = tiny_spec(sigma2_a=1.0, sigma2_b=1.0)
     sampler = GibbsSampler(spec, data)
     state = sampler.init_state(rng)
     state.lam[:] = 0.0
@@ -229,11 +219,20 @@ def test_sigma2_zero_residual_ig(rng):
     S = 20000
     draws = np.empty((S, m))
     for s in range(S):
-        sampler.update_variance_components(state, rng)
+        sampler._update_sigma2(state, rng)
         draws[s] = state.sigma2
     mean, var = 1.0 / 5.0, 1.0 / (25.0 * 4.0)
     assert draws.mean() == pytest.approx(mean, abs=3 * np.sqrt(var / draws.size))
     assert draws.var() == pytest.approx(var, rel=0.1)
+
+
+def test_iw_prior_defaults_and_scalar_scale():
+    df, scale = sampler_module._iw_prior(None, None, 3)
+    assert df == 4 and np.array_equal(scale, np.eye(3))
+    df, scale = sampler_module._iw_prior(2.5, 0.5, 2)
+    assert df == 2.5 and np.array_equal(scale, 0.5 * np.eye(2))
+    given = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(sampler_module._iw_prior(3.0, given, 2)[1], given)
 
 
 @pytest.mark.parametrize("d", [1, 2, 6])
@@ -288,8 +287,7 @@ def test_gaussian_draw_rejects_bad_input():
 
 def test_kappa_reduces_to_inverse_gamma_for_single_type(rng):
     data = masked_dataset(m=3)
-    spec = tiny_spec(kappa_df=5.0, kappa_scale=2.0,
-                     fixed=frozenset({"upsilon", "delta"}))
+    spec = tiny_spec(kappa_df=5.0, kappa_scale=2.0)
     sampler = GibbsSampler(spec, data)
     state = sampler.init_state(rng)
     # hold the stick fields fixed: kappa | alpha ~ IW(df + n m, Theta + S)
@@ -373,6 +371,61 @@ def test_each_kernel_is_built_at_most_once_per_sweep(monkeypatch):
     # one proposal per sweep for each of rho and psi, plus the initial state
     assert 60 < builds["spatial_correlation"] <= 61
     assert 60 < builds["temporal_correlation"] <= 61
+
+
+_EVERY_MODEL = {"loadings", "eta", "kappa", "upsilon", "delta"}
+
+
+@pytest.mark.parametrize("model, family, p, change, conditional", [
+    ("M1", "gaussian", 0, {}, {"sigma2", "psi"}),
+    ("M2", "gaussian", 0, {}, {"sigma2", "psi"}),
+    ("M3", "gaussian", 0, {}, {"sigma2", "psi"}),
+    ("M4", "gaussian", 0, {}, {"sigma2", "psi"}),
+    ("M5", "gaussian", 0, {}, {"sigma2", "psi"}),
+    ("M1", "binomial", 1, {}, {"omega", "beta", "psi"}),
+    ("M4", "gaussian", 0, {"rho_prior": "uniform"}, {"sigma2", "rho", "psi"}),
+    ("M2", "gaussian", 0, {"rho_prior": "uniform"}, {"sigma2", "psi"}),
+    ("M1", "gaussian", 0, {"psi": 0.5}, {"sigma2"}),
+    ("M1", "gaussian", 2, {}, {"sigma2", "beta", "psi"}),
+], ids=["M1", "M2", "M3", "M4", "M5", "M1-binomial", "M4-free-rho",
+        "M2-free-rho-unused", "M1-fixed-psi", "M1-covariates"])
+def test_sweep_runs_the_conditionals_of_its_model(monkeypatch, model, family, p, change,
+                                                  conditional):
+    """One sweep runs every conditional once, except omega (binomial data
+    only), sigma2 (Gaussian data only), beta's solve (covariates only), the
+    rho proposal (free rho with spatial loadings only) and the psi proposal
+    (psi unset only)."""
+    spec = dataclasses.replace(simulation.model_spec_for(model, k=2, family=family),
+                               **change)
+    data = binomial_dataset(p=p) if family == "binomial" else gaussian_dataset(p=p)
+    sampler = GibbsSampler(spec, data)
+    rng = np.random.default_rng(3)
+    state = sampler.init_state(rng)
+    calls = collections.Counter()
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key(args)] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, attr in (("omega", "update_polya_gamma"), ("loadings", "update_loadings_block"),
+                       ("eta", "update_factors"), ("sigma2", "_update_sigma2"),
+                       ("kappa", "_update_kappa"), ("upsilon", "_update_upsilon"),
+                       ("delta", "_update_delta")):
+        setattr(sampler, attr, counted(getattr(sampler, attr), lambda args, name=name: name))
+    sampler._metropolis = counted(sampler._metropolis, lambda args: args[0])  # rho or psi
+    regression = sampler.update_regression
+
+    def beta_update(state, rng):  # counts the Gaussian draws of beta's update
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler_module, "_gaussian_draw",
+                          counted(sampler_module._gaussian_draw, lambda args: "beta"))
+            regression(state, rng)
+
+    sampler.update_regression = beta_update
+    sampler.sweep(state, rng)
+    assert calls == dict.fromkeys(_EVERY_MODEL | conditional, 1)
 
 
 @pytest.mark.parametrize("loadings_prior", ["gaussian-car", "psbp-spatial"])
@@ -543,18 +596,19 @@ def test_micro_model_sigma2_conjugate_posterior(rng):
     y = np.array([0.3, -0.5, 1.1, 0.2]).reshape(4, 1, 1)
     data = ObservationSet(y=y, times=np.linspace(0, 1, 4), spatial=sp)
     spec = ModelSpec(k=1, L=1, spatial_kernel="exponential-gp", rho=1.0,
-                     sigma2_a=2.0, sigma2_b=1.0,
-                     fixed=frozenset({"eta", "loadings", "beta", "kappa",
-                                      "upsilon", "delta", "psi"}))
+                     sigma2_a=2.0, sigma2_b=1.0)
     sampler = GibbsSampler(spec, data)
     state = sampler.init_state(rng)
-    draws = sampler.run(4000, burn_in=0, thin=1, seed=77, init=state)
+    x = np.empty(4000)
+    draw_rng = np.random.default_rng(77)
+    for s in range(x.size):
+        sampler._update_sigma2(state, draw_rng)
+        x[s] = state.sigma2[0]
     resid = y[:, 0, 0] - state.lam[0, 0] * state.eta[:, 0]
     a_post = 2.0 + 2.0
     b_post = 1.0 + 0.5 * float(resid @ resid)
     mean = b_post / (a_post - 1.0)
     var = b_post ** 2 / ((a_post - 1.0) ** 2 * (a_post - 2.0))
-    x = draws.sigma2[:, 0]
     assert x.mean() == pytest.approx(mean, abs=3 * np.sqrt(var / x.size))
     assert x.var() == pytest.approx(var, rel=0.15)
 

@@ -1,19 +1,22 @@
 """The benchmark's tracer still finds every method and field it patches or reads.
 
 perfbench/tracing.py wraps sampler methods and CLI imports by name and reads
-`stick.L` from the state; a rename in the package would otherwise show only
-in a traced benchmark run.  These tests read perfbench/ and change nothing
-there.
+`stick.L` from the state, and it fails a workload whose run never reaches a
+patched method; a rename in the package, or a sweep that skips a traced
+update, would otherwise show only in a traced benchmark run.  These tests
+read perfbench/ and change nothing there.
 """
 
 import importlib
 import os
 
-from spfactor.cli import main
+import pytest
+
+from spfactor.cli import _model_spec, main, parse_config
 from spfactor.sampler import GibbsSampler, ModelSpec, run_chain
 from spfactor.storage import save_draws
 
-from conftest import gaussian_dataset
+from conftest import binomial_dataset, gaussian_dataset
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -30,6 +33,28 @@ def test_tracer_resolves_its_targets_and_counts_stick_columns(monkeypatch):
         tracer.uninstall()
     assert tracer.counts[0]["sticks.columns"] == spec.k * 4
     assert tracer.counts[0]["sticks.sum"] >= spec.k * 4
+
+
+@pytest.mark.parametrize("workload", ["sim1-m1-gauss", "sim1-m1-binom40",
+                                      "sim1-m4-freerho"])
+def test_a_fit_reaches_every_sampler_target_of_its_workload(monkeypatch, workload):
+    # a sweep that skips a traced update would fail the benchmark's check_reached
+    monkeypatch.syspath_prepend(os.path.abspath(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    wl = importlib.import_module("workloads").WORKLOADS[workload]
+    spec = _model_spec(parse_config("\n".join(["k = 2", *wl.model])))
+    data = binomial_dataset() if wl.family == "binomial" else gaussian_dataset()
+    tracer = tracing.Tracer()
+    tracer.install(0)
+    try:
+        GibbsSampler(spec, data).run(6, burn_in=3, seed=1)
+    finally:
+        tracer.uninstall()
+    seen = {rec[0] for rec in tracer.spans}
+    missing = [target for target, name, _, on in tracing.PATCHES
+               if target.startswith("spfactor.sampler:") and workload in on
+               and name not in seen]
+    assert missing == []
 
 
 def test_tracer_records_the_predictive_pass_of_predict(monkeypatch, tmp_path):
