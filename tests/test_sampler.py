@@ -945,3 +945,43 @@ def test_successive_conditional_joint_distribution():
     # IW(4,1) is IG(2, 1/2), whose variance is infinite: check E[log kappa]
     log_kap = np.log(kap)
     assert abs(log_kap.mean() - (np.log(0.5) - digamma(2.0))) < 3 * batch_se(log_kap)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", ["gaussian", "binomial"])
+def test_successive_conditional_slice_mode(family):
+    # the same Geweke check for the default sampler: slice-sampled sticks
+    # (L = None) with label swaps possible at k = 2, on data the sweep reads,
+    # so the data terms of xi, theta, the latent probits, eta and omega all act
+    m, T = 3, 3
+    rng = np.random.default_rng(2101 if family == "gaussian" else 2102)
+    trials = rng.integers(1, 6, size=(T, 1, m)).astype(float) \
+        if family == "binomial" else None
+    data = ObservationSet(y=np.zeros((T, 1, m)), times=np.linspace(0, 1, T),
+                          spatial=king_grid(1, m), trials=trials)
+    spec = tiny_spec(k=2, L=None, likelihood=LikelihoodSpec(family),
+                     psi_bounds=(0.5, 3.0))
+    sampler = GibbsSampler(spec, data)
+    state = sampler.init_state(rng)
+    cycles = 8000
+    stats = collections.defaultdict(lambda: np.empty(cycles))
+    for c in range(cycles):
+        sampler.regenerate_data(state, rng)
+        sampler.sweep(state, rng)
+        stats["log_kappa"][c] = np.log(state.kappa[0, 0])
+        stats["xi1"][c] = (state.stick.xi[0] == 1).mean()
+        stats["theta2_tau"][c] = state.stick.theta[0][0] ** 2 * state.mgp.precisions()[0]
+        stats["psi"][c] = state.psi
+        if family == "gaussian":
+            stats["sigma2"][c] = state.sigma2.mean()
+    expect = {
+        "log_kappa": np.log(0.5) - digamma(2.0),  # IW(4, 1) is IG(2, 1/2)
+        "xi1": 0.5,                               # E[Phi(alpha)] = 1/2
+        "theta2_tau": 1.0,                        # theta ~ N(0, 1/tau)
+        "psi": 1.75,                              # U(0.5, 3) mean
+        "sigma2": 1.0,                            # IG(3, 2) mean
+    }
+    drop = cycles // 10
+    for name, x in stats.items():
+        x = x[drop:]
+        assert abs(x.mean() - expect[name]) < 3 * batch_se(x), name
