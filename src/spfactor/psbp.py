@@ -49,7 +49,8 @@ class StickState:
 
     alpha[j]: (n_sticks_j, n_cells); theta[j]: (L_j,);
     xi: (k, n_cells) int, 1-based component indicators.  The slice variables
-    and latent probits are drawn afresh inside each column update.
+    and latent probits are not stored: each sweep draws them afresh, for all
+    columns at once, before and after its column loop.
     """
 
     alpha: list[np.ndarray]
@@ -88,21 +89,23 @@ def stick_weights(alpha_col: np.ndarray) -> np.ndarray:
 
 
 def stick_weights_matrix(alpha: np.ndarray, closing: bool = True) -> np.ndarray:
-    """Vectorized stick weights over cells: alpha (n_sticks, n_cells).
+    """Vectorized stick weights over cells: alpha (n_sticks, n_cells), or
+    (..., n_sticks, n_cells) for a stack of columns.
 
     With `closing` the result has n_sticks+1 rows and columns sum to one;
     without it each stick row is the raw probit stick-breaking weight
-    (slice mode, where the tail stays open).
+    (slice mode, where the tail stays open).  A stick at -inf has weight 0
+    and leaves the mass after it unchanged, so it pads a shorter column.
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    n = alpha.shape[0]
-    w = np.empty((n + closing, alpha.shape[1]))
-    ndtr(alpha, out=w[:n])
+    n = alpha.shape[-2]
+    w = np.empty((*alpha.shape[:-2], n + closing, alpha.shape[-1]))
+    ndtr(alpha, out=w[..., :n, :])
     # mass left after each stick: prod_{r<=l} (1 - Phi(alpha_r))
-    left = np.cumprod(1.0 - w[:n], axis=0)
+    left = np.cumprod(1.0 - w[..., :n, :], axis=-2)
     if closing:
-        w[n] = left[-1] if n else 1.0
-    w[1:n] *= left[:-1]
+        w[..., n, :] = left[..., -1, :] if n else 1.0
+    w[..., 1:n, :] *= left[..., :-1, :]
     return w
 
 

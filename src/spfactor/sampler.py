@@ -1,11 +1,17 @@
 """Gibbs sampler over all model unknowns.
 
-One sweep scans the full conditionals in a fixed order: omega -> loading
-columns (xi, alpha, theta per column) -> eta -> beta -> sigma2 -> kappa ->
-Upsilon -> delta -> rho -> psi.  Five of them depend on the model: omega is
-drawn for binomial data only, sigma2 for Gaussian data only, beta only when
-there are covariates, rho only when it is free (rho_prior = uniform) and the
-loadings are spatial, and psi only when it is not fixed.
+One sweep scans the full conditionals in a fixed order: omega -> loadings
+-> eta -> beta -> sigma2 -> kappa -> Upsilon -> delta -> rho -> psi.  Five of
+them depend on the model: omega is drawn for binomial data only, sigma2 for
+Gaussian data only, beta only when there are covariates, rho only when it is
+free (rho_prior = uniform) and the loadings are spatial, and psi only when it
+is not fixed.
+
+Stick-breaking loadings take three passes: the slice variables and prior
+tails of every column (slice mode only), then column by column the
+indicators xi and atoms theta, then the latent probits and stick fields
+alpha of every column in one solve.  Gaussian loadings are drawn column by
+column.
 
 Both likelihood families reduce to a Gaussian working response with a
 per-cell diagonal precision (1/sigma2 for Gaussian data, the Polya-Gamma draw
@@ -21,6 +27,7 @@ dispatch layers cost more than the arithmetic.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import tempfile
 from dataclasses import dataclass
@@ -78,6 +85,13 @@ def _gaussian_draw(c: np.ndarray, b: np.ndarray, rng) -> np.ndarray:
     return mean + noise
 
 
+@functools.cache
+def _strict_lower(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(d, -1), built once per dimension: building it costs
+    about half of a small inverse-Wishart draw."""
+    return np.tril_indices(d, -1)
+
+
 def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One inverse-Wishart(df, scale) draw by the Bartlett decomposition
     (Smith & Hocking 1972, AS 53).
@@ -93,12 +107,21 @@ def invwishart_rvs(df: float, scale: np.ndarray, rng: np.random.Generator) -> np
                          "dimension of scale matrix minus 1.")
     C = _cho_lower(scale)
     A = np.zeros((d, d))
-    A[np.tril_indices(d, -1)] = rng.normal(size=d * (d - 1) // 2)
+    A[_strict_lower(d)] = rng.normal(size=d * (d - 1) // 2)
     A[np.diag_indices(d)] = rng.chisquare((df - d + 1) + np.arange(d)) ** 0.5
     if d == 1:
         return np.array([[(C[0, 0] / A[0, 0]) ** 2]])
     CA = dtrsm(1.0, A, C, side=1, lower=True)
     return np.ascontiguousarray(dtrmm(1.0, CA, CA, side=1, lower=True, trans_a=True))
+
+
+def _stack_columns(alpha: list[np.ndarray]) -> np.ndarray:
+    """Every column's sticks as one (k, n_max, n_cells) array, a shorter
+    column padded with sticks at -inf, which have weight 0."""
+    out = np.full((len(alpha), max(a.shape[0] for a in alpha), alpha[0].shape[1]), -np.inf)
+    for j, a in enumerate(alpha):
+        out[j, :a.shape[0]] = a
+    return out
 
 
 def _iw_prior(df, scale, d: int) -> tuple[float, np.ndarray]:
@@ -393,23 +416,22 @@ class GibbsSampler:
         return StickState(alpha=alpha, theta=thetas, xi=xi)
 
     @staticmethod
-    def _sample_z(alpha_mat: np.ndarray, xi_j: np.ndarray,
+    def _sample_z(alpha: list[np.ndarray], xi: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
-        """Latent probit draws consistent with the indicators.
+        """Latent probit draws consistent with the indicators, for every
+        column's sticks stacked in column order: (sum_j n_sticks_j, n_cells).
 
         Sticks below the selected component are negative, the selected one is
         positive (when it is a real stick), and later sticks are free draws.
         """
-        n_sticks, n_cells = alpha_mat.shape
-        if n_sticks == 0:
-            return np.empty((0, n_cells))
-        lidx = np.arange(1, n_sticks + 1)[:, None]
-        below = lidx < xi_j[None, :]
-        at = lidx == xi_j[None, :]
-        z = alpha_mat + rng.standard_normal(alpha_mat.shape)
-        constrained = below | at
-        if constrained.any():
-            z[constrained] = truncated_normal(alpha_mat[constrained], at[constrained], rng)
+        n_sticks = [a.shape[0] for a in alpha]
+        lidx = np.concatenate([np.arange(1, n + 1) for n in n_sticks])[:, None]
+        xi_rows = np.repeat(xi, n_sticks, axis=0)
+        mean = np.concatenate(alpha)
+        at = lidx == xi_rows
+        constrained = at | (lidx < xi_rows)
+        z = mean + rng.standard_normal(mean.shape)
+        z[constrained] = truncated_normal(mean[constrained], at[constrained], rng)
         return z
 
     # -- individual updates ---------------------------------------------------
@@ -467,59 +489,94 @@ class GibbsSampler:
         return _kron(np.linalg.inv(state.kappa), F_prec)
 
     def _update_sticks(self, state: ChainState, rng) -> None:
+        """Indicators, atoms and stick fields of every loading column.
+
+        Only the indicators and atoms run column by column, because a
+        column's data term reads the other columns' loadings.  A column's
+        slice variables, tail and stick fields read only its own (alpha_j,
+        xi_j) and kappa, rho and tau, which the column loop leaves alone, so
+        they are drawn for all columns before and after it.
+        """
         spec = self.spec
         stick = state.stick
+        k = spec.k
         tau = state.mgp.precisions()
-        yw, prec = self.working(state)
-        # the unit-variance latent probits add I to every field's prior precision
-        cho_P = _cho_lower(self._field_precision(state) + np.eye(self.N))
-        cho_k = np.linalg.cholesky(state.kappa)
-        cells = np.arange(self.N)
-        for j in range(spec.k):
-            A, B = self._column_stats(state, yw, prec, j)
-            alpha_j, theta_j = stick.alpha[j], stick.theta[j]
-            if spec.slice_mode:
-                w = stick_weights_matrix(alpha_j, closing=False)
-                u = rng.uniform(0.0, w[stick.xi[j] - 1, cells])
-                # double the stick streams with prior draws until no cell has
-                # unassigned mass above min(u); later sticks cannot be chosen
-                open_mass = 1.0 - u.min()
-                while w.sum(axis=0).min() <= open_mass and alpha_j.shape[0] < _MAX_STICKS:
-                    extra = min(alpha_j.shape[0], _MAX_STICKS - alpha_j.shape[0])
-                    alpha_j = np.vstack([alpha_j, self._draw_alpha_prior(
-                        cho_k, state.rho, rng, extra)])
-                    theta_j = np.append(theta_j, rng.normal(
-                        0.0, 1.0 / math.sqrt(tau[j]), size=extra))
-                    w = stick_weights_matrix(alpha_j, closing=False)
-                logw = np.where(w > u, 0.0, -np.inf)  # uniform over the slice
-            else:
-                with np.errstate(divide="ignore"):
-                    logw = np.log(stick_weights_matrix(alpha_j, closing=True))
+        if spec.slice_mode:
+            u = self._grow_slice_tails(state, rng)
+        w = stick_weights_matrix(_stack_columns(stick.alpha), closing=not spec.slice_mode)
+        if spec.slice_mode:
+            logw = np.where(w > u[:, None, :], 0.0, -np.inf)  # uniform over the slice
+        else:
+            with np.errstate(divide="ignore"):
+                logw = np.log(w)
 
-            # component indicators from likelihood-weighted mixture
-            loglik = theta_j[:, None] * A - 0.5 * ((theta_j ** 2)[:, None] * B)
+        # column j's data term is theta A_j - theta^2 B_j / 2 per cell, with
+        # A_j = sum_t prec eta_j r_j for the residual r_j without column j and
+        # B_j = sum_t prec eta_j^2; cross[i, j] = sum_t prec eta_i eta_j
+        # carries a new column j into the A of the later columns
+        yw, prec = self.working(state)
+        eta_t = state.eta.T
+        cross = (eta_t[:, None, :] * eta_t) @ prec
+        B = cross[np.arange(k), np.arange(k)]
+        r = yw - linear_predictor(self.X, state.beta, state.eta, state.lam)
+        A = eta_t @ (prec * r) + B * state.lam.T
+        for j in range(k):
+            theta_j = stick.theta[j]
+            n_atoms = theta_j.size
+            loglik = theta_j[:, None] * A[j] - 0.5 * ((theta_j ** 2)[:, None] * B[j])
             gumbel = -np.log(-np.log(rng.uniform(size=loglik.shape)))
-            xi_j = np.argmax(loglik + logw + gumbel, axis=0) + 1
+            xi_j = np.argmax(loglik + logw[j, :n_atoms] + gumbel, axis=0) + 1
             # slice mode drops the sticks past the last occupied one: they stay
             # at their prior, so kappa, rho and delta condition on sticks
             # 1..max(xi) only, and the next sweep regrows the tail from the prior
-            n_comp = int(xi_j.max()) if spec.slice_mode else spec.L
-            alpha_j = alpha_j[:n_comp]
-
-            z_j = self._sample_z(alpha_j, xi_j, rng)
-            if z_j.shape[0]:
-                alpha_j = _gaussian_draw(cho_P, z_j.T, rng).T
-
-            counts_B = np.bincount(xi_j - 1, weights=B, minlength=n_comp)
-            sums_A = np.bincount(xi_j - 1, weights=A, minlength=n_comp)
-            post_prec = tau[j] + counts_B
-            post_mean = sums_A / post_prec
+            n_comp = int(xi_j.max()) if spec.slice_mode else n_atoms
+            post_prec = tau[j] + np.bincount(xi_j - 1, weights=B[j], minlength=n_comp)
+            post_mean = np.bincount(xi_j - 1, weights=A[j], minlength=n_comp) / post_prec
             theta_j = post_mean + rng.standard_normal(n_comp) / np.sqrt(post_prec)
-
-            stick.alpha[j] = alpha_j
+            lam_j = theta_j[xi_j - 1]
+            A[j + 1:] -= cross[j + 1:, j] * (lam_j - state.lam[:, j])
             stick.theta[j] = theta_j
             stick.xi[j] = xi_j
-            state.lam[:, j] = theta_j[xi_j - 1]
+            state.lam[:, j] = lam_j
+
+        if spec.slice_mode:
+            stick.alpha = [a[:t.size] for a, t in zip(stick.alpha, stick.theta)]
+        n_sticks = [a.shape[0] for a in stick.alpha]
+        if sum(n_sticks):
+            # the unit-variance latent probits add I to every field's prior precision
+            cho_P = _cho_lower(self._field_precision(state) + np.eye(self.N))
+            z = self._sample_z(stick.alpha, stick.xi, rng)
+            fields = _gaussian_draw(cho_P, z.T, rng).T
+            stick.alpha = np.split(fields, np.cumsum(n_sticks)[:-1])
+
+    def _grow_slice_tails(self, state: ChainState, rng) -> np.ndarray:
+        """Draw every column's slice variables u (k, n_cells) and extend each
+        column's sticks and atoms with prior draws until no cell's
+        unallocated mass exceeds its u, or the column holds _MAX_STICKS
+        sticks.  Every component with a weight above u, the ones a cell can
+        select, is then a real stick.  A column short of that doubles its
+        sticks per round, and one prior draw per round serves every short
+        column."""
+        stick = state.stick
+        tau = state.mgp.precisions()
+        cho_k = np.linalg.cholesky(state.kappa)
+        w = stick_weights_matrix(_stack_columns(stick.alpha), closing=True)
+        u = rng.uniform(0.0, np.take_along_axis(w, stick.xi[:, None, :] - 1, axis=1)[:, 0])
+        left = w[:, -1]
+        n = np.array([a.shape[0] for a in stick.alpha])
+        while True:
+            short = np.flatnonzero((left > u).any(axis=1) & (n < _MAX_STICKS))
+            if not short.size:
+                return u
+            extra = np.minimum(n[short], _MAX_STICKS - n[short])
+            starts = np.cumsum(extra) - extra
+            rows = self._draw_alpha_prior(cho_k, state.rho, rng, int(extra.sum()))
+            atoms = rng.standard_normal(rows.shape[0]) / np.sqrt(np.repeat(tau[short], extra))
+            left[short] *= np.multiply.reduceat(1.0 - ndtr(rows), starts, axis=0)
+            for j, a, t in zip(short, np.split(rows, starts[1:]), np.split(atoms, starts[1:])):
+                stick.alpha[j] = np.vstack([stick.alpha[j], a])
+                stick.theta[j] = np.append(stick.theta[j], t)
+            n[short] += extra
 
     def _update_gaussian_loadings(self, state: ChainState, rng) -> None:
         tau = state.mgp.precisions()

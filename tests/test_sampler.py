@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from spfactor.errors import ValidationError
 from spfactor.likelihoods import LikelihoodSpec
 from spfactor import sampler as sampler_module
 from spfactor import simulation
-from spfactor.psbp import stick_weights_matrix
+from spfactor.psbp import loadings_from_atoms, stick_weights_matrix
 from spfactor.storage import write_container
 from spfactor.sampler import (
     ChainState,
@@ -747,6 +748,129 @@ def test_load_checkpoint_reads_the_older_layout(tmp_path):
         ends.append(rng_resumed.bit_generator.state)
     _assert_same_state(old, new)
     assert ends[0] == ends[1]
+
+
+def _count_stick_calls(monkeypatch, sampler):
+    """Count the sampler's Gaussian solves and truncated-normal passes, and
+    record the row count of each prior stick draw."""
+    calls, prior_rows = collections.Counter(), []
+    for name in ("_gaussian_draw", "truncated_normal"):
+        def wrapper(*args, fn=getattr(sampler_module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(sampler_module, name, wrapper)
+    draw_prior = sampler._draw_alpha_prior
+
+    def counted_prior(cho_k, rho, rng, count=1):
+        prior_rows.append(count)
+        return draw_prior(cho_k, rho, rng, count)
+    sampler._draw_alpha_prior = counted_prior
+    return calls, prior_rows
+
+
+def test_slice_sweep_draws_sticks_for_every_column_at_once(monkeypatch):
+    """An M1 sweep solves once for all stick fields and once for eta, draws
+    every latent probit in one truncated-normal pass, and regrows every
+    short column's tail in one prior draw per round."""
+    spec = ModelSpec(k=6)
+    sampler = GibbsSampler(spec, gaussian_dataset())
+    rng = np.random.default_rng(5)
+    state = sampler.init_state(rng)
+    for _ in range(3):
+        sampler.sweep(state, rng)
+    stick = state.stick
+    for j in range(spec.k):  # one stick of weight 0.0013: every column is short
+        stick.alpha[j] = np.full((1, sampler.N), -3.0)
+        stick.theta[j] = stick.theta[j][:1]
+    stick.xi[:] = 1
+    calls, prior_rows = _count_stick_calls(monkeypatch, sampler)
+    sampler.sweep(state, rng)
+    assert calls == {"_gaussian_draw": 2, "truncated_normal": 1}
+    assert prior_rows[0] == spec.k  # the first round doubles all six columns
+    assert 2 <= len(prior_rows) <= math.log2(sampler_module._MAX_STICKS)
+    assert_stick_consistency(spec, state)
+
+
+@pytest.mark.parametrize("L, solves, passes", [(3, 2, 1), (1, 1, 0)])
+def test_finite_sweep_draws_sticks_for_every_column_at_once(monkeypatch, L, solves,
+                                                            passes):
+    # L = 1 has no sticks at all: only eta's solve is left
+    spec = ModelSpec(k=3, L=L)
+    sampler = GibbsSampler(spec, gaussian_dataset())
+    rng = np.random.default_rng(6)
+    state = sampler.init_state(rng)
+    calls, prior_rows = _count_stick_calls(monkeypatch, sampler)
+    for _ in range(3):
+        calls.clear()
+        sampler.sweep(state, rng)
+        assert calls == {"_gaussian_draw": solves, "truncated_normal": passes} \
+            if passes else calls == {"_gaussian_draw": solves}
+        assert prior_rows == []
+        assert_stick_consistency(spec, state)
+        assert np.array_equal(state.lam, loadings_from_atoms(state.stick))
+
+
+def test_stick_columns_read_the_loadings_drawn_before_them():
+    """Each column's indicators and atoms see the columns before it at their
+    new loadings: checked against the per-column data terms of
+    `_column_stats`.  With sigma2 = 1e-6 the data decide every indicator and
+    pin each atom to within a few 1e-4 of its posterior mean."""
+    spec = ModelSpec(k=3, L=2)
+    sampler = GibbsSampler(spec, gaussian_dataset(T=6, rows=2, cols=4))
+    rng = np.random.default_rng(12)
+    state = sampler.init_state(rng)
+    state.sigma2[:] = 1e-6
+    for j in range(spec.k):
+        state.stick.alpha[j][:] = 0.0
+        state.stick.theta[j] = np.array([-1.0, 1.0]) * (j + 1)
+    state.stick.xi[:] = rng.integers(1, 3, size=state.stick.xi.shape)
+    state.lam = loadings_from_atoms(state.stick)
+    before = state.copy()
+    sampler._update_sticks(state, rng)
+
+    yw, prec = sampler.working(before)
+    tau = before.mgp.precisions()
+    for j in range(spec.k):
+        A, B = sampler._column_stats(before, yw, prec, j)
+        theta = before.stick.theta[j]
+        xi = np.argmax(theta[:, None] * A - 0.5 * theta[:, None] ** 2 * B, axis=0) + 1
+        assert np.array_equal(state.stick.xi[j], xi)
+        post_prec = tau[j] + np.bincount(xi - 1, weights=B, minlength=2)
+        post_mean = np.bincount(xi - 1, weights=A, minlength=2) / post_prec
+        assert np.all(np.abs(state.stick.theta[j] - post_mean) < 5 / np.sqrt(post_prec))
+        before.lam[:, j] = state.lam[:, j]
+
+
+def test_slice_tails_cover_every_slice_variable():
+    """After the regrowth, no cell's unallocated mass exceeds its slice
+    variable, except in a column that reached _MAX_STICKS."""
+    spec = ModelSpec(k=3)
+    sampler = GibbsSampler(spec, gaussian_dataset())
+    rng = np.random.default_rng(8)
+    state = sampler.init_state(rng)
+    n_max = sampler_module._MAX_STICKS
+    capped = []
+    for sweep in range(12):
+        if sweep == 10:
+            # column 0's one stick has weight 1e-100 and kappa makes every
+            # prior stick about 1/2: 256 sticks leave 2^-256 > u unallocated
+            state.kappa = np.array([[1e-6]])
+            state.stick.alpha[0] = np.full((1, sampler.N), -21.3)
+            state.stick.theta[0] = state.stick.theta[0][:1]
+            state.stick.xi[0] = 1
+        u = sampler._grow_slice_tails(state, rng)
+        for j, (alpha, theta) in enumerate(zip(state.stick.alpha, state.stick.theta)):
+            assert alpha.shape == (theta.size, sampler.N) and alpha.shape[0] <= n_max
+            left = stick_weights_matrix(alpha, closing=True)[-1]
+            if alpha.shape[0] == n_max:
+                capped.append((sweep, j))
+            else:
+                assert np.all(left <= u[j])
+        # the rest of the sweep, which drops the unused tail again
+        state.stick.alpha = [a[:xi.max()] for a, xi in zip(state.stick.alpha, state.stick.xi)]
+        state.stick.theta = [t[:xi.max()] for t, xi in zip(state.stick.theta, state.stick.xi)]
+        sampler.sweep(state, rng)
+    assert (10, 0) in capped
 
 
 @pytest.mark.parametrize("L", [None, 3])
