@@ -503,12 +503,11 @@ class GibbsSampler:
         tau = state.mgp.precisions()
         if spec.slice_mode:
             u = self._grow_slice_tails(state, rng)
-        w = stick_weights_matrix(_stack_columns(stick.alpha), closing=not spec.slice_mode)
-        if spec.slice_mode:
+            w = stick_weights_matrix(_stack_columns(stick.alpha), closing=False)
             logw = np.where(w > u[:, None, :], 0.0, -np.inf)  # uniform over the slice
         else:
             with np.errstate(divide="ignore"):
-                logw = np.log(w)
+                logw = np.log(stick_weights_matrix(_stack_columns(stick.alpha)))
 
         # column j's data term is theta A_j - theta^2 B_j / 2 per cell, with
         # A_j = sum_t prec eta_j r_j for the residual r_j without column j and
